@@ -17,7 +17,14 @@ def kernel_backend() -> str:
     return _kernels.BACKEND
 
 
-from .channel import ChannelSet, ElementChannel, build_channel_set, cascaded_gain, los_channel  # noqa: F401,E402
+from .channel import (  # noqa: F401,E402
+    CascadedPath,
+    ChannelSet,
+    build_channel_set,
+    cascaded_gain,
+    cascaded_path,
+    los_channel,
+)
 from .optimize import (  # noqa: F401
     AllocationSolution,
     ReceivedPowerOracle,

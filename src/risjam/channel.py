@@ -2,9 +2,10 @@
 
 Each transmitter-to-element and element-to-receiver hop is a pure free-space
 ray: phase from the exact per-element distance, amplitude from path loss and
-the endpoint antenna gains. The cascaded gain of a partition is the coherent
-sum over its elements with amplitudes normalized to unit mean, so received
-powers factor exactly into (path-loss product L) x |gain|^2.
+the endpoint antenna gains. A hop is one amplitude array and one phase array
+over the elements. The cascaded gain of a partition is the coherent sum over
+its elements with amplitudes normalized to unit mean, so received powers
+factor exactly into (path-loss product L) x |gain|^2.
 """
 
 from __future__ import annotations
@@ -17,109 +18,158 @@ import numpy as np
 from . import _kernels as kernels
 from .scene import (
     ISOTROPIC,
+    SPEED_OF_LIGHT,
     AntennaPattern,
     DegenerateGeometryError,
-    Position3D,
     ScenarioConfig,
-    distance,
-    fspl,
     partition_split,
     pattern_gain,
+    pattern_gains,
     rotation_to_frame,
 )
 
 TWO_PI = 2.0 * math.pi
 
-#: (source, partition, user) keys of the path-loss map.
+#: Hop names: transmitters (s: communication signal, a: artificial noise)
+#: to the elements, and the elements to the users (b: Bob, e: Eve).
+HOPS = ("s", "a", "b", "e")
+
+#: (source, partition, user) keys of ChannelSet.paths and the path-loss map.
 PATH_KEYS = tuple(
     (src, part, user) for src in ("s", "a") for part in ("rb", "re") for user in ("b", "e")
 )
 
+_ON_AXIS = np.array([1.0, 0.0, 0.0])
 
-@dataclass(frozen=True)
-class ElementChannel:
-    """Single-hop channel h = amplitude * exp(-j*phase), phase in [0, 2pi)."""
 
-    amplitude: float
-    phase: float
+def _pow2(x: np.ndarray) -> np.ndarray:
+    # Python's float ** calls libm pow, which rounds differently from numpy's
+    # x * x for a small share of inputs; scene.distance and scene.fspl use **.
+    return np.array([v ** 2 for v in x.ravel().tolist()]).reshape(x.shape)
 
-    def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be non-negative")
-        if not 0.0 <= self.phase < TWO_PI:
-            raise ValueError("phase must lie in [0, 2pi)")
+
+def _gains(p: AntennaPattern, boresight: np.ndarray | None, directions: np.ndarray) -> np.ndarray:
+    if boresight is None:
+        return np.full(directions.shape[0], pattern_gain(p, _ON_AXIS))
+    # A broadcast batched matmul rounds like the per-vector R @ v; V @ R.T
+    # and einsum do not.
+    local = np.matmul(rotation_to_frame(boresight), directions[:, :, None])[:, :, 0]
+    return pattern_gains(p, local)
 
 
 def los_channel(
-    tx: Position3D,
-    el: Position3D,
+    tx: np.ndarray,
+    rx: np.ndarray,
     fc: float,
     tx_pat: AntennaPattern,
-    el_pat: AntennaPattern,
+    rx_pat: AntennaPattern,
     tx_boresight: np.ndarray | None = None,
-    el_boresight: np.ndarray | None = None,
-) -> ElementChannel:
-    """Free-space channel between two antennas.
+    rx_boresight: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Free-space channels h = amplitude * exp(-j*phase) from tx to rx.
 
-    Boresights default to "aimed at the other endpoint" (on-axis gain); pass
-    explicit world-frame boresight vectors for fixed antenna orientations.
+    tx and rx are positions of shape (3,) or (N, 3), broadcast against each
+    other; returns (amplitude, phase) arrays of shape (N,), phase in
+    [0, 2pi). Boresights default to "aimed at the other endpoint" (on-axis
+    gain); pass explicit world-frame boresight vectors for fixed antenna
+    orientations. Each entry equals, bit for bit, the scalar composition of
+    scene.distance, fspl, rotation_to_frame and pattern_gain.
     """
-    d = distance(tx, el)
-    if d <= 0.0:
+    if not fc > 0.0:
+        raise ValueError("carrier frequency must be positive")
+    tx, rx = np.broadcast_arrays(np.atleast_2d(np.asarray(tx, dtype=float)),
+                                 np.atleast_2d(np.asarray(rx, dtype=float)))
+    sq = _pow2(tx - rx)
+    d = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+    if np.any(d <= 0.0):
         raise DegenerateGeometryError("coincident antenna positions")
-    lam = 299_792_458.0 / fc
-    direction = (el.as_array() - tx.as_array()) / d
-
-    if tx_boresight is None:
-        g_tx = pattern_gain(tx_pat, np.array([1.0, 0.0, 0.0]))
-    else:
-        g_tx = pattern_gain(tx_pat, rotation_to_frame(tx_boresight) @ direction)
-    if el_boresight is None:
-        g_el = pattern_gain(el_pat, np.array([1.0, 0.0, 0.0]))
-    else:
-        g_el = pattern_gain(el_pat, rotation_to_frame(el_boresight) @ (-direction))
-
-    amplitude = math.sqrt(fspl(d, fc) * g_tx * g_el)
-    phase = math.fmod(TWO_PI * d / lam, TWO_PI)
-    return ElementChannel(amplitude=amplitude, phase=phase)
+    lam = SPEED_OF_LIGHT / fc
+    direction = (rx - tx) / d[:, None]
+    g_tx = _gains(tx_pat, tx_boresight, direction)
+    g_rx = _gains(rx_pat, rx_boresight, -direction)
+    amplitude = np.sqrt(_pow2(lam / (4.0 * math.pi * d)) * g_tx * g_rx)
+    phase = np.fmod(TWO_PI * d / lam, TWO_PI)
+    return amplitude, phase
 
 
-@dataclass
-class ChannelSet:
-    """Per-element channels for the four hops plus per-partition path-loss products.
+@dataclass(frozen=True, eq=False)
+class CascadedPath:
+    """One source -> partition -> user cascade, normalized for coherent sums.
 
-    path_loss[(source, partition, user)] is the squared mean per-element
-    amplitude product over that partition, so that power = L * |G|^2 with G
-    the normalized cascaded gain.
+    amplitude[i] is the amplitude product of the two hops at element
+    indices[i] over its mean across the set, and phase[i] the sum of the two
+    hop phases; path_loss is the squared mean amplitude product, so the
+    received power is path_loss * |cascaded_gain(path, theta)|^2.
     """
 
-    h_s: tuple[ElementChannel, ...]
-    h_a: tuple[ElementChannel, ...]
-    h_b: tuple[ElementChannel, ...]
-    h_e: tuple[ElementChannel, ...]
-    path_loss: dict[tuple[str, str, str], float]
+    indices: np.ndarray
+    amplitude: np.ndarray
+    phase: np.ndarray
+    path_loss: float
+
+
+def cascaded_path(amp_in, phase_in, amp_out, phase_out, indices) -> CascadedPath:
+    """Normalized cascade of two hops (amplitude and phase arrays) over an element set."""
+    amp_in, phase_in, amp_out, phase_out = (
+        np.asarray(a, dtype=float) for a in (amp_in, phase_in, amp_out, phase_out)
+    )
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.min() < 0 or idx.max() >= min(len(amp_in), len(amp_out)):
+        raise IndexError("cascaded_path index outside the hop arrays")
+    prod = amp_in[idx] * amp_out[idx]
+    mean = float(np.mean(prod))
+    amplitude = prod / mean if mean > 0.0 else np.zeros(idx.size)
+    return CascadedPath(idx, amplitude, phase_in[idx] + phase_out[idx], mean ** 2)
+
+
+def cascaded_gain(path: CascadedPath, phases) -> complex:
+    """Normalized coherent gain sum_i a_i * exp(-j*(psi_i + theta_n)), n = indices[i].
+
+    phases holds the element phases theta for the whole surface. A perfectly
+    phase-aligned set of k elements has |gain| = k.
+    """
+    theta = np.asarray(phases, dtype=float)[path.indices]
+    return kernels.coherent_sum(path.amplitude, path.phase, theta)
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelSet:
+    """Per-element channels of the four hops plus their per-partition cascades.
+
+    hops maps each name in HOPS to its (amplitude, phase) arrays in canonical
+    element order. paths[(source, partition, user)] is the normalized cascade
+    that received powers, oracles and beta terms all read.
+    """
+
+    hops: dict[str, tuple[np.ndarray, np.ndarray]]
     bob_indices: tuple[int, ...]
     eve_indices: tuple[int, ...]
-    _arrays: dict = field(default_factory=dict, repr=False, compare=False)
+    paths: dict[tuple[str, str, str], CascadedPath] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for amp, phase in self.hops.values():
+            amp.setflags(write=False)
+            phase.setflags(write=False)
+        paths = {
+            (src, part, user): cascaded_path(*self.hops[src], *self.hops[user], self.partition(part))
+            for src, part, user in PATH_KEYS
+        }
+        object.__setattr__(self, "paths", paths)
 
     @property
     def n_elements(self) -> int:
-        return len(self.h_s)
-
-    def link(self, name: str) -> tuple[ElementChannel, ...]:
-        return {"s": self.h_s, "a": self.h_a, "b": self.h_b, "e": self.h_e}[name]
+        return len(self.hops["s"][0])
 
     def amplitudes(self, name: str) -> np.ndarray:
-        key = ("amp", name)
-        if key not in self._arrays:
-            self._arrays[key] = np.array([c.amplitude for c in self.link(name)])
-        return self._arrays[key]
+        return self.hops[name][0]
 
     def phases(self, name: str) -> np.ndarray:
-        key = ("phase", name)
-        if key not in self._arrays:
-            self._arrays[key] = np.array([c.phase for c in self.link(name)])
-        return self._arrays[key]
+        return self.hops[name][1]
+
+    @property
+    def path_loss(self) -> dict[tuple[str, str, str], float]:
+        """Squared mean per-element amplitude product of each (source, partition, user)."""
+        return {key: path.path_loss for key, path in self.paths.items()}
 
     def partition(self, which: str) -> tuple[int, ...]:
         if which == "rb":
@@ -140,77 +190,23 @@ def build_channel_set(sc: ScenarioConfig) -> ChannelSet:
     elements = sc.elements
     normal = np.asarray(sc.ris.normal, dtype=float)
     bob_idx, eve_idx = partition_split(sc.ris)
-
-    def centroid(indices) -> np.ndarray:
-        return np.mean([elements[n].as_array() for n in indices], axis=0)
-
-    aim_cs = centroid(bob_idx) - sc.cs_tx.as_array()
-    aim_an = centroid(eve_idx) - sc.an_tx.as_array()
-
-    h_s = tuple(
-        los_channel(sc.cs_tx, el, sc.fc_hz, sc.tx_pattern, sc.ris_element_pattern,
-                    tx_boresight=aim_cs, el_boresight=normal)
-        for el in elements
-    )
-    h_a = tuple(
-        los_channel(sc.an_tx, el, sc.fc_hz, sc.tx_pattern, sc.ris_element_pattern,
-                    tx_boresight=aim_an, el_boresight=normal)
-        for el in elements
-    )
-    h_b = tuple(
-        los_channel(el, sc.bob, sc.fc_hz, sc.ris_element_pattern, ISOTROPIC,
-                    tx_boresight=normal)
-        for el in elements
-    )
-    h_e = tuple(
-        los_channel(el, sc.eve, sc.fc_hz, sc.ris_element_pattern, ISOTROPIC,
-                    tx_boresight=normal)
-        for el in elements
-    )
-
-    links = {"s": h_s, "a": h_a, "b": h_b, "e": h_e}
-    path_loss = {}
-    for src, part, user in PATH_KEYS:
-        idx = bob_idx if part == "rb" else eve_idx
-        prod = np.array([links[src][n].amplitude * links[user][n].amplitude for n in idx])
-        path_loss[(src, part, user)] = float(np.mean(prod)) ** 2
-    return ChannelSet(
-        h_s=h_s, h_a=h_a, h_b=h_b, h_e=h_e,
-        path_loss=path_loss, bob_indices=bob_idx, eve_indices=eve_idx,
-    )
-
-
-def cascaded_gain(in_ch, out_ch, phases, indices) -> complex:
-    """Normalized coherent gain of an element set.
-
-    Returns sum over n in indices of a_n * exp(-j*(phi_in + phi_out + theta_n))
-    with a_n the per-element amplitude product divided by its mean over the
-    set, so a perfectly phase-aligned set of k elements has |gain| = k.
-    """
-    idx = np.asarray(list(indices), dtype=np.intp)
-    if idx.size == 0:
-        return 0j
-    if idx.min() < 0 or idx.max() >= min(len(in_ch), len(out_ch)):
-        raise IndexError("cascaded_gain index outside the channel lists")
-    amp = np.array([in_ch[n].amplitude * out_ch[n].amplitude for n in idx])
-    mean = float(np.mean(amp))
-    if mean == 0.0:
-        return 0j
-    psi = np.array([in_ch[n].phase + out_ch[n].phase for n in idx])
-    theta = np.ascontiguousarray(np.asarray(phases, dtype=float)[idx])
-    return kernels.coherent_sum(np.ascontiguousarray(amp / mean), np.ascontiguousarray(psi), theta)
+    aim_cs = np.mean(elements[list(bob_idx)], axis=0) - sc.cs_tx.as_array()
+    aim_an = np.mean(elements[list(eve_idx)], axis=0) - sc.an_tx.as_array()
+    fc, tx_pat, el_pat = sc.fc_hz, sc.tx_pattern, sc.ris_element_pattern
+    hops = {
+        "s": los_channel(sc.cs_tx.as_array(), elements, fc, tx_pat, el_pat, aim_cs, normal),
+        "a": los_channel(sc.an_tx.as_array(), elements, fc, tx_pat, el_pat, aim_an, normal),
+        "b": los_channel(elements, sc.bob.as_array(), fc, el_pat, ISOTROPIC, normal),
+        "e": los_channel(elements, sc.eve.as_array(), fc, el_pat, ISOTROPIC, normal),
+    }
+    return ChannelSet(hops=hops, bob_indices=bob_idx, eve_indices=eve_idx)
 
 
 def channel_dump_rows(ch: ChannelSet):
     """Rows (n, amp/phase for each of the four hops) with 1-based element index."""
-    for n in range(ch.n_elements):
-        yield (
-            n + 1,
-            ch.h_s[n].amplitude, ch.h_s[n].phase,
-            ch.h_a[n].amplitude, ch.h_a[n].phase,
-            ch.h_b[n].amplitude, ch.h_b[n].phase,
-            ch.h_e[n].amplitude, ch.h_e[n].phase,
-        )
+    columns = [arr.tolist() for name in HOPS for arr in ch.hops[name]]
+    for n, values in enumerate(zip(*columns), start=1):
+        yield (n, *values)
 
 
 CHANNEL_DUMP_COLUMNS = (

@@ -69,26 +69,16 @@ class ReceivedPowerOracle:
         src = "s" if signal == "cs" else "a"
         out = "b" if user == "bob" else "e"
         pt = sc.pt_watts
-        amp_in, amp_out = ch.amplitudes(src), ch.amplitudes(out)
-        ph_in, ph_out = ch.phases(src), ch.phases(out)
-        self._parts = []
-        for part in ("rb", "re"):
-            idx = np.asarray(ch.partition(part), dtype=np.intp)
-            prod = amp_in[idx] * amp_out[idx]
-            mean = float(np.mean(prod))
-            scale = pt * ch.path_loss[(src, part, out)]
-            amp = np.ascontiguousarray(prod / mean) if mean > 0.0 else np.zeros(idx.size)
-            psi = np.ascontiguousarray(ph_in[idx] + ph_out[idx])
-            self._parts.append((idx, amp, psi, scale))
+        paths = [ch.paths[(src, part, out)] for part in ("rb", "re")]
+        self._parts = [(path, pt * path.path_loss) for path in paths]
 
     def __call__(self, cfg: PhaseConfig) -> float:
         if cfg.n_elements != self._n:
             raise ValueError("config element count does not match the channel set")
         self.calls += 1
         total = 0.0
-        for idx, amp, psi, scale in self._parts:
-            theta = np.ascontiguousarray(cfg.phases[idx])
-            g = kernels.coherent_sum(amp, psi, theta)
+        for path, scale in self._parts:
+            g = kernels.coherent_sum(path.amplitude, path.phase, cfg.phases[path.indices])
             total += scale * (g.real * g.real + g.imag * g.imag)
         return total
 

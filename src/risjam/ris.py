@@ -153,14 +153,14 @@ def binary_dft_codebook(m: int) -> Codebook:
     """
     if m < 1 or (m & (m - 1)) != 0:
         raise ValueError("codebook size must be a power of 2")
+    n = np.arange(m, dtype=np.int64)
     seen = set()
     words = []
     for k in range(m):
         # entry phase is 2*pi*r/m with r = k*n mod m; it is nearer pi exactly
         # when 1/4 < r/m < 3/4, decided in integers to make ties exact
-        row = np.array(
-            [PI if m < 4 * ((k * n) % m) < 3 * m else 0.0 for n in range(m)]
-        )
+        r4 = 4 * ((k * n) % m)
+        row = np.where((m < r4) & (r4 < 3 * m), PI, 0.0)
         key = row.tobytes()
         if key not in seen:
             seen.add(key)

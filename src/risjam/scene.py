@@ -92,8 +92,8 @@ class RisGeometry:
             raise ValueError("rows and cols must be positive")
         if (self.rows * self.cols) % 2 != 0:
             raise ValueError("element count must be even (two equal partitions)")
-        if not self.spacing > 0.0:
-            raise ValueError("spacing must be positive")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError("spacing must be positive and finite")
         n = np.asarray(self.normal, dtype=float)
         nn = np.linalg.norm(n)
         if not nn > 0.0 or not np.all(np.isfinite(n)):
@@ -121,24 +121,18 @@ def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def element_positions(g: RisGeometry) -> list[Position3D]:
-    """Element centers in canonical row-major order (top row first).
+def element_positions(g: RisGeometry) -> np.ndarray:
+    """(N, 3) element centers in canonical row-major order (top row first).
 
     The lattice is centered on g.center; column index increases along the
     in-plane horizontal axis, so for the default +x normal the first cols/2
     columns sit at negative y (Eve's side) and the rest at positive y.
     """
-    normal = np.asarray(g.normal, dtype=float)
-    u, v = _plane_basis(normal)
-    c0 = g.center.as_array()
-    out = []
-    for r in range(g.rows):
-        row_off = ((g.rows - 1) / 2.0 - r) * g.spacing
-        for c in range(g.cols):
-            col_off = (c - (g.cols - 1) / 2.0) * g.spacing
-            p = c0 + col_off * u + row_off * v
-            out.append(Position3D(float(p[0]), float(p[1]), float(p[2])))
-    return out
+    u, v = _plane_basis(np.asarray(g.normal, dtype=float))
+    row_off = ((g.rows - 1) / 2.0 - np.arange(g.rows)) * g.spacing
+    col_off = (np.arange(g.cols) - (g.cols - 1) / 2.0) * g.spacing
+    pos = g.center.as_array() + col_off[None, :, None] * u + row_off[:, None, None] * v
+    return pos.reshape(g.n_elements, 3)
 
 
 def partition_split(g: RisGeometry) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -151,11 +145,8 @@ def partition_split(g: RisGeometry) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if g.cols % 2 != 0:
         raise ValueError("vertical split requires an even column count")
     half = g.cols // 2
-    bob, eve = [], []
-    for r in range(g.rows):
-        for c in range(g.cols):
-            (eve if c < half else bob).append(r * g.cols + c)
-    return tuple(bob), tuple(eve)
+    grid = np.arange(g.n_elements).reshape(g.rows, g.cols)
+    return tuple(grid[:, half:].ravel().tolist()), tuple(grid[:, :half].ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -198,14 +189,31 @@ def pattern_gain(p: AntennaPattern, direction: np.ndarray) -> float:
     if p.kind == "isotropic":
         return g0
     d = np.asarray(direction, dtype=float)
-    x, y, z = float(d[0]), float(d[1]), float(d[2])
+    return _cosine_gain(g0, 2.0 * p.az_exponent, 2.0 * p.el_exponent,
+                        float(d[0]), float(d[1]), float(d[2]))
+
+
+def pattern_gains(p: AntennaPattern, directions: np.ndarray) -> np.ndarray:
+    """pattern_gain for each row of an (N, 3) array of pattern-frame directions."""
+    d = np.asarray(directions, dtype=float)
+    g0 = p.boresight_linear
+    if p.kind == "isotropic":
+        return np.full(d.shape[0], g0)
+    a2, e2 = 2.0 * p.az_exponent, 2.0 * p.el_exponent
+    return np.array([_cosine_gain(g0, a2, e2, x, y, z) for x, y, z in d.tolist()])
+
+
+def _cosine_gain(g0: float, a2: float, e2: float, x: float, y: float, z: float) -> float:
+    # Scalar libm calls on purpose: numpy's vectorized arcsin, arctan2 and
+    # cos round differently in the last bit on some CPUs, and the channel
+    # digests are pinned to these.
     if x <= 0.0:
         return 0.0
     el = math.asin(max(-1.0, min(1.0, z)))
     az = math.atan2(y, x)
     if abs(az) >= math.pi / 2 or abs(el) >= math.pi / 2:
         return 0.0
-    return g0 * math.cos(az) ** (2.0 * p.az_exponent) * math.cos(el) ** (2.0 * p.el_exponent)
+    return g0 * math.cos(az) ** a2 * math.cos(el) ** e2
 
 
 def rotation_to_frame(boresight: np.ndarray) -> np.ndarray:
@@ -249,7 +257,7 @@ class ScenarioConfig:
     ris: RisGeometry
     tx_pattern: AntennaPattern
     ris_element_pattern: AntennaPattern
-    _elements: tuple = field(default=None, repr=False, compare=False)
+    _elements: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.fc_hz > 0.0:
@@ -257,18 +265,21 @@ class ScenarioConfig:
         for name in ("pt_dbm", "noise_bob_dbm", "noise_eve_dbm", "fs_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        elems = tuple(element_positions(self.ris))
+        elems = element_positions(self.ris)
+        if not np.all(np.isfinite(elems)):
+            raise ValueError("RIS element coordinates must be finite")
         for node_name in ("cs_tx", "an_tx", "bob", "eve"):
-            node = getattr(self, node_name)
-            for el in elems:
-                if distance(node, el) < 1e-9:
-                    raise DegenerateGeometryError(
-                        f"{node_name} coincides with an RIS element position"
-                    )
+            node = getattr(self, node_name).as_array()
+            if np.min(np.linalg.norm(elems - node, axis=1)) < 1e-9:
+                raise DegenerateGeometryError(
+                    f"{node_name} coincides with an RIS element position"
+                )
+        elems.setflags(write=False)
         object.__setattr__(self, "_elements", elems)
 
     @property
-    def elements(self) -> tuple[Position3D, ...]:
+    def elements(self) -> np.ndarray:
+        """(N, 3) read-only element centers, canonical order."""
         return self._elements
 
     @property

@@ -131,13 +131,11 @@ def beta_terms(sc: ScenarioConfig, ch: ChannelSet, cfg: PhaseConfig, split: Powe
     if (cfg.bob_indices, cfg.eve_indices) != (ch.bob_indices, ch.eve_indices):
         raise ValueError("phase config and channel set disagree on the partition split")
     pt = sc.pt_watts
-    in_ch = {"s": ch.h_s, "a": ch.h_a}
-    out_ch = {"b": ch.h_b, "e": ch.h_e}
     beta = np.empty(8)
-    for k, (src, part, user) in enumerate(BETA_PATHS):
-        alpha = split.alpha1 if src == "s" else split.alpha2
-        g = cascaded_gain(in_ch[src], out_ch[user], cfg.phases, ch.partition(part))
-        beta[k] = math.sqrt(alpha * pt * ch.path_loss[(src, part, user)]) * abs(g)
+    for k, key in enumerate(BETA_PATHS):
+        path = ch.paths[key]
+        alpha = split.alpha1 if key[0] == "s" else split.alpha2
+        beta[k] = math.sqrt(alpha * pt * path.path_loss) * abs(cascaded_gain(path, cfg.phases))
     return LinkPowers(beta=beta, noise_bob=sc.noise_bob_watts, noise_eve=sc.noise_eve_watts)
 
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from risjam.channel import build_channel_set, cascaded_gain
+from risjam.channel import build_channel_set, cascaded_gain, cascaded_path
 from risjam.harness import default_scenario, main, optimized_config
 from risjam.optimize import (
     an_power_at_eve,
@@ -193,9 +193,9 @@ def test_criterion_7_capacity_sinr_consistency():
                 split = PowerSplit.of(alpha)
 
                 def g2(src, part, user):
-                    links = {"s": ch.h_s, "a": ch.h_a, "b": ch.h_b, "e": ch.h_e}
-                    g = cascaded_gain(links[src], links[user], cfg.phases, ch.partition(part))
-                    return ch.path_loss[(src, part, user)] * abs(g) ** 2
+                    path = cascaded_path(ch.amplitudes(src), ch.phases(src), ch.amplitudes(user),
+                                         ch.phases(user), ch.partition(part))
+                    return path.path_loss * abs(cascaded_gain(path, cfg.phases)) ** 2
 
                 sinr_b_expanded = (
                     alpha * pt * (g2("s", "rb", "b") + g2("s", "re", "b"))

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -247,6 +249,17 @@ class TestDumpChannelsCommand:
 
 
 class TestCliErrors:
+    def test_python_m_risjam(self, scenario_file, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "channels.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "risjam", "dump-channels", "--scenario", scenario_file, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert out.read_text().count("\n") == 258
+
     def test_unknown_command(self):
         assert main(["fly"]) == EXIT_INPUT_ERROR
 

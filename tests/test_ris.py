@@ -138,6 +138,18 @@ class TestBinaryDftCodebook:
         for got, want in zip(cb.codewords, expected):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64])
+    def test_matches_scalar_integer_rule(self, m):
+        # the per-entry loop the vectorized codebook replaced
+        expected, seen = [], set()
+        for k in range(m):
+            row = np.array([PI if m < 4 * ((k * n) % m) < 3 * m else 0.0 for n in range(m)])
+            if row.tobytes() not in seen:
+                seen.add(row.tobytes())
+                expected.append(row)
+        got = binary_dft_codebook(m).codewords
+        assert [w.tobytes() for w in got] == [w.tobytes() for w in expected]
+
     @pytest.mark.parametrize("m", [2, 8, 32, 256])
     def test_dc_codeword_first_and_all_binary(self, m):
         cb = binary_dft_codebook(m)

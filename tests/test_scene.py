@@ -28,38 +28,36 @@ class TestElementPositions:
     def test_two_element_row_symmetric_about_center(self):
         g = RisGeometry(rows=1, cols=2, spacing=0.041, center=Position3D(0, 0, 0))
         pos = element_positions(g)
-        assert len(pos) == 2
-        assert pos[0].x == pytest.approx(0.0, abs=1e-15)
-        assert pos[0].y == pytest.approx(-0.0205, abs=1e-15)
-        assert pos[1].y == pytest.approx(+0.0205, abs=1e-15)
-        assert pos[0].z == pos[1].z == pytest.approx(0.0, abs=1e-15)
+        assert pos.shape == (2, 3)
+        assert pos[0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert pos[0, 1] == pytest.approx(-0.0205, abs=1e-15)
+        assert pos[1, 1] == pytest.approx(+0.0205, abs=1e-15)
+        assert pos[0, 2] == pos[1, 2] == pytest.approx(0.0, abs=1e-15)
 
     def test_aperture_extent_16x16(self):
         # independent oracle: 15 gaps of 0.041 m per side
         g = RisGeometry(rows=16, cols=16, spacing=0.041, center=Position3D(0, 0, 0.4))
         pos = element_positions(g)
-        ys = [p.y for p in pos]
-        zs = [p.z for p in pos]
+        ys, zs = pos[:, 1], pos[:, 2]
         assert max(ys) - min(ys) == pytest.approx(15 * 0.041, rel=1e-12)
         assert max(zs) - min(zs) == pytest.approx(15 * 0.041, rel=1e-12)
 
     def test_256_distinct_positions(self):
         g = RisGeometry(rows=16, cols=16, spacing=0.041, center=Position3D(0, 0, 0.4))
         pos = element_positions(g)
-        assert len(pos) == 256
-        assert len({(p.x, p.y, p.z) for p in pos}) == 256
+        assert pos.shape == (256, 3)
+        assert len({tuple(p) for p in pos.tolist()}) == 256
 
     def test_centroid_equals_center(self):
         g = RisGeometry(rows=6, cols=4, spacing=0.03, center=Position3D(0.1, -0.2, 0.7))
-        arr = np.array([p.as_array() for p in element_positions(g)])
-        np.testing.assert_allclose(arr.mean(axis=0), [0.1, -0.2, 0.7], atol=1e-12)
+        np.testing.assert_allclose(element_positions(g).mean(axis=0), [0.1, -0.2, 0.7], atol=1e-12)
 
     def test_row_major_order(self):
         g = RisGeometry(rows=2, cols=2, spacing=1.0, center=Position3D(0, 0, 0))
         pos = element_positions(g)
         # first row (higher z) first, columns left (-y) to right (+y)
-        assert pos[0].z > pos[2].z
-        assert pos[0].y < pos[1].y
+        assert pos[0, 2] > pos[2, 2]
+        assert pos[0, 1] < pos[1, 1]
 
     def test_odd_element_count_rejected(self):
         with pytest.raises(ValueError):
@@ -71,8 +69,28 @@ class TestElementPositions:
         assert len(bob) == len(eve) == 128
         assert not set(bob) & set(eve)
         pos = element_positions(g)
-        assert all(pos[n].y > 0 for n in bob)
-        assert all(pos[n].y < 0 for n in eve)
+        assert np.all(pos[list(bob), 1] > 0)
+        assert np.all(pos[list(eve), 1] < 0)
+
+
+class TestScenarioValidation:
+    def test_node_on_an_element_rejected(self, table_scenario):
+        from dataclasses import replace
+
+        corner = Position3D(*table_scenario.elements[17].tolist())
+        for node in ("cs_tx", "an_tx", "bob", "eve"):
+            with pytest.raises(DegenerateGeometryError, match=node):
+                replace(table_scenario, **{node: corner})
+
+    def test_non_finite_lattice_rejected(self, table_scenario):
+        text = format_scenario(table_scenario).replace("ris_spacing_m = 0.041", "ris_spacing_m = inf")
+        with pytest.raises(ScenarioFormatError, match="finite"):
+            parse_scenario(text)
+
+    def test_elements_are_the_read_only_lattice(self, table_scenario):
+        elems = table_scenario.elements
+        np.testing.assert_array_equal(elems, element_positions(table_scenario.ris))
+        assert not elems.flags.writeable
 
 
 class TestDistance:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from risjam.channel import cascaded_gain
+from risjam.channel import cascaded_gain, cascaded_path
 from risjam.ris import zero_config
 from risjam.scene import dbm_to_watts
 from risjam.secrecy import (
@@ -197,12 +197,12 @@ class TestBetaTerms:
         split = PowerSplit.of(0.37)
         powers = beta_terms(sc, ch, cfg, split)
         pt = dbm_to_watts(sc.pt_dbm)
-        in_ch = {"s": ch.h_s, "a": ch.h_a}
-        out_ch = {"b": ch.h_b, "e": ch.h_e}
         for k, (src, part, user) in enumerate(BETA_PATHS):
             alpha = split.alpha1 if src == "s" else split.alpha2
-            g = cascaded_gain(in_ch[src], out_ch[user], cfg.phases, ch.partition(part))
-            expected = math.sqrt(alpha * pt * ch.path_loss[(src, part, user)]) * abs(g)
+            path = cascaded_path(ch.amplitudes(src), ch.phases(src), ch.amplitudes(user),
+                                 ch.phases(user), ch.partition(part))
+            g = cascaded_gain(path, cfg.phases)
+            expected = math.sqrt(alpha * pt * path.path_loss) * abs(g)
             assert powers.beta[k] == pytest.approx(expected, rel=1e-12)
 
 
