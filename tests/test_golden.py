@@ -4,7 +4,9 @@ The files under tests/golden/ are the outputs of the README's seven
 reproduction commands on scenarios/default.scn at seed 1. A refactor that
 moves any digit of any CSV, or flips a tie in a search, fails here. The
 channel digests pin the full-precision amplitude and phase arrays and the
-path-loss products, which the CSVs round to 9 significant digits.
+path-loss products, which the CSVs round to 9 significant digits; the search
+digests and capacity-ratio values do the same for the optimizer traces and the
+power-split bisection.
 """
 
 import hashlib
@@ -14,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from risjam.channel import build_channel_set
-from risjam.harness import default_scenario, main
+from risjam.harness import default_scenario, main, optimized_config
+from risjam.optimize import capacity_ratio_alpha
 from risjam.scene import format_scenario, load_scenario, scenario_hash
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,6 +60,25 @@ def test_cli_output_bytes(name, tmp_path):
         assert (tmp_path / fname).read_bytes() == (GOLDEN / fname).read_bytes(), fname
 
 
+# sha256 over "trial,repr(power_w),repr(best_power_w)" of every trace entry
+# (rb then re), then the final config bits, at seed 1.
+SEARCH_DIGESTS = {
+    ("iterative", 16): "ee6a4d79f54b8b8d175d71774c9eec1f1d7ec0b3135c9d57a94a422482fd891d",
+    ("dft", 16): "a51e32e3e3f573afd640995d290d06c3d4aeaf9253133e1e43d94d6c7a442712",
+    ("iterative", 32): "d6562f8007035605615835076ddd952fed0188d9cadb24963c3753fb6a9f32f3",
+    ("dft", 32): "d08055a01cea82f69c6ad5d93c8bde57b72df68e71038569b93689ea81f0bcdd",
+}
+
+# Largest alpha1 keeping Eve's capacity under 1% of Bob's, at seed 2 (the
+# README's 0.69 and 0.89), exactly as the grid-1001 scan and bisection give it.
+CAPACITY_RATIO_ALPHA = {"iterative": 0.6908281250000001, "dft": 0.8925937500000001}
+
+
+def scene(side: int):
+    sc = load_scenario(SCENARIO)
+    return replace(sc, ris=replace(sc.ris, rows=side, cols=side))
+
+
 def channel_digest(ch) -> str:
     h = hashlib.sha256()
     for name in ("s", "a", "b", "e"):
@@ -68,9 +90,32 @@ def channel_digest(ch) -> str:
 
 @pytest.mark.parametrize("side", sorted(CHANNEL_DIGESTS))
 def test_channel_set_digest(side):
-    sc = load_scenario(SCENARIO)
-    sc = replace(sc, ris=replace(sc.ris, rows=side, cols=side))
-    assert channel_digest(build_channel_set(sc)) == CHANNEL_DIGESTS[side]
+    assert channel_digest(build_channel_set(scene(side))) == CHANNEL_DIGESTS[side]
+
+
+def search_digest(cfg, traces) -> str:
+    h = hashlib.sha256()
+    for part in ("rb", "re"):
+        for entry in traces[part]:
+            h.update(f"{entry.trial},{entry.power_w!r},{entry.best_power_w!r}\n".encode("utf-8"))
+    h.update(cfg.bits().tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("algorithm,side", sorted(SEARCH_DIGESTS))
+def test_search_digest(algorithm, side):
+    sc = scene(side)
+    cfg, traces = optimized_config(sc, build_channel_set(sc), algorithm, seed=1)
+    assert search_digest(cfg, traces) == SEARCH_DIGESTS[(algorithm, side)]
+
+
+@pytest.mark.parametrize("algorithm", sorted(CAPACITY_RATIO_ALPHA))
+def test_capacity_ratio_alpha_exact(algorithm):
+    sc = scene(16)
+    ch = build_channel_set(sc)
+    cfg, _ = optimized_config(sc, ch, algorithm, seed=2)
+    alpha = capacity_ratio_alpha(sc, ch, cfg, 0.01, grid=1001)
+    assert alpha == CAPACITY_RATIO_ALPHA[algorithm]
 
 
 def test_bundled_file_is_default_scenario():
