@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 
 
 def kernel_backend() -> str:
-    """Name of the active phase-sum kernel backend ("cython" or "numpy")."""
-    from . import _kernels
-
-    return _kernels.BACKEND
+    """Name of the phase-sum implementation, always "numpy" (benchmark provenance records it)."""
+    return "numpy"
 
 
 from .channel import (  # noqa: F401,E402

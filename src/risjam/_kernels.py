@@ -1,4 +1,4 @@
-"""Pure-numpy fallback for the coherent phase-sum kernel."""
+"""The coherent phase sum behind every received-power measurement."""
 
 import numpy as np
 

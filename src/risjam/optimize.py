@@ -1,11 +1,12 @@
 """Phase-shift optimizers and the constrained power-allocation solver.
 
-The optimizers see the link only through a measurement oracle (config in,
-received power out), mirroring a hardware sweep: the iterative method is one
-coordinate-ascent pass over the partition in seeded random order, the DFT
-method sweeps a quantized-DFT codebook, and exhaustive enumeration serves as
-the testing upper bound. Power allocation reduces to one dimension (alpha2 =
-1 - alpha1) and is solved on a grid with golden-section refinement.
+The optimizers see the link only through a measurement oracle (full-surface
+phase vector in, received power out), mirroring a hardware sweep: the
+iterative method is one coordinate-ascent pass over the partition in seeded
+random order, the DFT method sweeps a quantized-DFT codebook, and exhaustive
+enumeration serves as the testing upper bound. Power allocation reduces to
+one dimension (alpha2 = 1 - alpha1) and is solved on a grid with
+golden-section refinement.
 """
 
 from __future__ import annotations
@@ -28,8 +29,11 @@ from .secrecy import (
     capacity_report,
 )
 
-#: Anything that maps a phase configuration to a received power in watts.
-MeasurementOracle = Callable[[PhaseConfig], float]
+#: Anything that maps a full-surface phase vector (an (N,) array) to a received
+#: power in watts. The searches write every trial into one buffer, so the
+#: vector is valid only during the call: an oracle must not modify it, and one
+#: that keeps it must copy it.
+MeasurementOracle = Callable[[np.ndarray], float]
 
 #: Absolute slack on SINR constraint checks.
 SINR_TOL = 1e-9
@@ -48,7 +52,7 @@ class NoFeasibleAlphaError(ValueError):
 
 
 class ReceivedPowerOracle:
-    """Received power of one signal at one user, as a function of the RIS config.
+    """Received power of one signal at one user, as a function of the RIS phases.
 
     signal is "cs" (communication signal) or "an" (artificial noise); user is
     "bob" or "eve". The measured signal carries the full transmit power: the
@@ -72,13 +76,13 @@ class ReceivedPowerOracle:
         paths = [ch.paths[(src, part, out)] for part in ("rb", "re")]
         self._parts = [(path, pt * path.path_loss) for path in paths]
 
-    def __call__(self, cfg: PhaseConfig) -> float:
-        if cfg.n_elements != self._n:
-            raise ValueError("config element count does not match the channel set")
+    def __call__(self, phases: np.ndarray) -> float:
+        if np.shape(phases) != (self._n,):
+            raise ValueError("phase vector length does not match the channel set")
         self.calls += 1
         total = 0.0
         for path, scale in self._parts:
-            g = kernels.coherent_sum(path.amplitude, path.phase, cfg.phases[path.indices])
+            g = kernels.coherent_sum(path.amplitude, path.phase, phases[path.indices])
             total += scale * (g.real * g.real + g.imag * g.imag)
         return total
 
@@ -100,7 +104,6 @@ class TraceEntry:
     trial: int
     power_w: float
     best_power_w: float
-    config_id: str
 
 
 def iterative_optimize(
@@ -116,26 +119,30 @@ def iterative_optimize(
     uniformly random order, measuring the flipped phase against the cached
     incumbent power and keeping the better one (exact ties keep the incumbent,
     i.e. 0 from the canonical all-zero start). One new oracle call per element
-    after the initial incumbent measurement.
+    after the initial incumbent measurement. Each trial flips the element in a
+    private phase vector and flips it back when the power does not improve.
     """
     if passes < 1:
         raise ValueError("passes must be >= 1")
     idx = cfg.partition(which)
     rng = np.random.default_rng(seed)
-    current = cfg
-    best = float(oracle(current))
+    phases = np.array(cfg.phases)
+    best = float(oracle(phases))
     trace: list[TraceEntry] = []
     trial = 0
     for _ in range(passes):
         for j in rng.permutation(len(idx)):
             elem = idx[int(j)]
             trial += 1
-            flipped = current.with_phase(elem, PI if current.phases[elem] == 0.0 else 0.0)
-            p = float(oracle(flipped))
+            kept = phases[elem]
+            phases[elem] = PI if kept == 0.0 else 0.0
+            p = float(oracle(phases))
             if p > best:
-                current, best = flipped, p
-            trace.append(TraceEntry(trial, best, best, current.snapshot_id()))
-    return current, trace
+                best = p
+            else:
+                phases[elem] = kept
+            trace.append(TraceEntry(trial, best, best))
+    return PhaseConfig(phases, cfg.bob_indices, cfg.eve_indices), trace
 
 
 def dft_sweep(
@@ -154,21 +161,25 @@ def dft_sweep(
     """
     if len(cb) == 0:
         raise ValueError("empty codebook")
-    budget = len(cfg.partition(which))
+    idx = np.array(cfg.partition(which))
+    budget = len(idx)
+    if any(cw.shape != (budget,) for cw in cb):
+        raise ValueError(f"codewords must hold {budget} phases for partition {which!r}")
     rng = np.random.default_rng(seed)
     trials = list(cb)
     while len(trials) < budget:
         trials.append(np.where(rng.integers(0, 2, budget) == 1, PI, 0.0))
-    best_cfg = None
+    phases = np.array(cfg.phases)
+    best_cw = None
     best = -math.inf
     trace: list[TraceEntry] = []
     for t, cw in enumerate(trials, start=1):
-        cand = set_partition(cfg, which, cw)
-        p = float(oracle(cand))
+        phases[idx] = cw
+        p = float(oracle(phases))
         if p > best:
-            best_cfg, best = cand, p
-        trace.append(TraceEntry(t, p, best, cand.snapshot_id()))
-    return best_cfg, trace
+            best_cw, best = cw, p
+        trace.append(TraceEntry(t, p, best))
+    return set_partition(cfg, which, best_cw), trace
 
 
 def exhaustive_search(
@@ -189,19 +200,21 @@ def exhaustive_search(
         raise ValueError(f"partition too large to enumerate ({n_elems} > {MAX_EXHAUSTIVE_ELEMS})")
     if base is None:
         base = zero_config(2 * n_elems)
-    if len(base.partition(which)) != n_elems:
+    idx = np.array(base.partition(which))
+    if len(idx) != n_elems:
         raise ValueError("base config partition size does not match n_elems")
-    best_cfg = None
+    phases = np.array(base.phases)
+    best_vals = None
     best = -math.inf
     vals = np.zeros(n_elems)
     for code in range(1 << n_elems):
         for i in range(n_elems):
             vals[i] = PI if (code >> i) & 1 else 0.0
-        cand = set_partition(base, which, vals)
-        p = float(oracle(cand))
+        phases[idx] = vals
+        p = float(oracle(phases))
         if p > best:
-            best_cfg, best = cand, p
-    return best_cfg, best
+            best_vals, best = vals.copy(), p  # vals is rewritten next code
+    return set_partition(base, which, best_vals), best
 
 
 @dataclass(frozen=True)
@@ -398,11 +411,4 @@ def capacity_ratio_alpha(
     i = int(np.max(np.nonzero(good)))
     if i == grid - 1:
         return float(alphas[-1])
-    lo, hi = float(alphas[i]), float(alphas[i + 1])
-    while hi - lo > ALPHA_TOL:
-        mid = (lo + hi) / 2.0
-        if bool(ok(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect_boundary(ok, float(alphas[i]), float(alphas[i + 1]))

@@ -25,8 +25,8 @@ class PhaseConfig:
 
     phases[n] is the reflection phase of element n (canonical row-major
     order); bob_indices and eve_indices partition range(N) into two equal
-    halves. Treat instances as values: updates go through with_phase /
-    set_partition, which return new configs.
+    halves. Treat instances as values: updates go through set_partition,
+    which returns a new config.
     """
 
     phases: np.ndarray
@@ -59,16 +59,11 @@ class PhaseConfig:
             return self.eve_indices
         raise ValueError(f"partition must be 'rb' or 're', got {which!r}")
 
-    def with_phase(self, index: int, phase: float) -> "PhaseConfig":
-        phases = np.array(self.phases)
-        phases[index] = phase
-        return PhaseConfig(phases, self.bob_indices, self.eve_indices)
-
     def bits(self) -> np.ndarray:
         return (self.phases == PI).astype(np.uint8)
 
     def snapshot_id(self) -> str:
-        """Short stable identifier of the phase vector (for traces)."""
+        """Short stable identifier of the phase vector."""
         return hashlib.sha256(self.bits().tobytes()).hexdigest()[:12]
 
     def __eq__(self, other):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from risjam._kernels import coherent_sum
 from risjam.channel import (
     build_channel_set,
     cascaded_gain,
@@ -333,3 +334,17 @@ class TestCascadedGain:
             _unit_path([0.0], [0.0], [1])
         with pytest.raises(IndexError):
             _unit_path([0.0], [0.0], [-1])
+
+
+class TestCoherentSum:
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            coherent_sum(np.ones(3), np.ones(2), np.ones(3))
+        with pytest.raises(ValueError):
+            coherent_sum(np.ones(3), np.ones(3), np.ones(2))
+
+    def test_simple_values(self):
+        amp = np.array([1.0, 2.0])
+        psi = np.array([0.0, np.pi])
+        theta = np.array([0.0, 0.0])
+        assert coherent_sum(amp, psi, theta) == pytest.approx(1.0 - 2.0 + 0j, abs=1e-12)

@@ -23,6 +23,11 @@ from conftest import make_random_scenario
 PI = math.pi
 
 
+def halves(phases, which):
+    """Indices of one partition of a phase vector under zero_config's split."""
+    return zero_config(len(phases)).partition(which)
+
+
 def coherent_oracle(psi, which="rb"):
     """Toy oracle: |1 + sum over the partition of exp(-j(psi_n + theta_n))|^2.
 
@@ -30,9 +35,9 @@ def coherent_oracle(psi, which="rb"):
     contribution and makes even a single element's phase observable.
     """
 
-    def measure(cfg: PhaseConfig) -> float:
-        idx = list(cfg.partition(which))
-        total = 1.0 + sum(np.exp(-1j * (psi[i] + cfg.phases[j])) for i, j in enumerate(idx))
+    def measure(phases) -> float:
+        idx = halves(phases, which)
+        total = 1.0 + sum(np.exp(-1j * (psi[i] + phases[j])) for i, j in enumerate(idx))
         return float(abs(total)) ** 2
 
     return measure
@@ -43,9 +48,9 @@ class CountingOracle:
         self.fn = fn
         self.calls = 0
 
-    def __call__(self, cfg):
+    def __call__(self, phases):
         self.calls += 1
-        return self.fn(cfg)
+        return self.fn(phases)
 
 
 class TestIterativeOptimize:
@@ -58,7 +63,7 @@ class TestIterativeOptimize:
 
     def test_constant_oracle_keeps_config(self):
         base = set_partition(zero_config(8), "rb", np.array([PI, 0.0, PI, 0.0]))
-        final, trace = iterative_optimize(lambda cfg: 1.0, base, "rb", seed=5)
+        final, trace = iterative_optimize(lambda phases: 1.0, base, "rb", seed=5)
         assert final == base
         assert all(t.best_power_w == 1.0 for t in trace)
 
@@ -69,7 +74,7 @@ class TestIterativeOptimize:
         best_cfg, best_p = exhaustive_search(oracle, "rb", 2, base)
         for seed in range(6):
             final, _ = iterative_optimize(oracle, base, "rb", seed=seed)
-            assert oracle(final) == pytest.approx(best_p, rel=1e-12)
+            assert oracle(final.phases) == pytest.approx(best_p, rel=1e-12)
         assert best_p == pytest.approx(9.0, rel=1e-12)  # offset + two aligned phasors
 
     def test_trace_monotone_and_strictly_indexed(self, table_scenario, table_channels):
@@ -80,7 +85,7 @@ class TestIterativeOptimize:
         assert [t.trial for t in trace] == list(range(1, 129))
         best = [t.best_power_w for t in trace]
         assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
-        assert oracle(final) == best[-1]
+        assert oracle(final.phases) == best[-1]
 
     def test_oracle_call_budget(self):
         inner = coherent_oracle(np.linspace(0, 2 * PI, 8, endpoint=False))
@@ -125,12 +130,19 @@ class TestDftSweep:
         base = zero_config(4)
         winner = np.array([0.0, PI])
         cb = Codebook((np.zeros(2), winner, np.array([PI, 0.0])))
-        final, trace = dft_sweep(oracle, base, "rb", cb, seed=0)
+        measured = []
+
+        def recording(phases):
+            measured.append(phases.copy())  # the sweep reuses its buffer
+            return oracle(phases)
+
+        final, trace = dft_sweep(recording, base, "rb", cb, seed=0)
         np.testing.assert_array_equal(final.phases[list(final.bob_indices)], winner)
         assert max(t.power_w for t in trace) == trace[1].power_w
         # trial k evaluates exactly set_partition(base, "rb", codeword k)
+        assert len(measured) == len(cb)
         for k, cw in enumerate(cb):
-            assert trace[k].config_id == set_partition(base, "rb", cw).snapshot_id()
+            np.testing.assert_array_equal(measured[k], set_partition(base, "rb", cw).phases)
 
     def test_sweep_bounded_by_exhaustive(self):
         rng = np.random.default_rng(17)
@@ -150,7 +162,12 @@ class TestDftSweep:
 
     def test_empty_codebook_rejected(self):
         with pytest.raises(ValueError):
-            dft_sweep(lambda c: 1.0, zero_config(4), "rb", Codebook(()), seed=0)
+            dft_sweep(lambda phases: 1.0, zero_config(4), "rb", Codebook(()), seed=0)
+
+    def test_codeword_length_mismatch_rejected(self):
+        # a one-element codeword would otherwise broadcast over the partition
+        with pytest.raises(ValueError):
+            dft_sweep(lambda phases: 1.0, zero_config(4), "rb", Codebook((np.zeros(1),)), seed=0)
 
     def test_budget_padding_deterministic(self, table_scenario, table_channels):
         oracle = cs_power_at_bob(table_scenario, table_channels)
@@ -182,10 +199,10 @@ class TestExhaustiveSearch:
     def test_matches_two_element_channel_example(self):
         # pure two-phasor sum, same enumeration as the cascaded-gain test:
         # the optimum is |G|^2 = 4 (reached by (0,pi) and its global flip)
-        def pure(cfg):
-            idx = list(cfg.partition("rb"))
+        def pure(phases):
+            idx = halves(phases, "rb")
             psi = [0.0, PI]
-            return abs(sum(np.exp(-1j * (psi[i] + cfg.phases[j]))
+            return abs(sum(np.exp(-1j * (psi[i] + phases[j]))
                            for i, j in enumerate(idx))) ** 2
 
         _, best_p = exhaustive_search(pure, "rb", 2)
@@ -197,9 +214,10 @@ class TestExhaustiveSearch:
             psi = rng.uniform(0, 2 * PI, 6)
             oracle = coherent_oracle(psi)
             base = zero_config(12)
-            _, best_p = exhaustive_search(oracle, "rb", 6, base)
+            best_cfg, best_p = exhaustive_search(oracle, "rb", 6, base)
+            assert oracle(best_cfg.phases) == best_p  # the argmax, not the last code tried
             final, _ = iterative_optimize(oracle, base, "rb", seed=int(rng.integers(1000)))
-            assert oracle(final) <= best_p * (1 + 1e-12)
+            assert oracle(final.phases) <= best_p * (1 + 1e-12)
 
     def test_upper_bounds_both_algorithms_on_12_elements(self, table_scenario):
         # one larger partition: exhaustive over 2^12 configs bounds both methods
@@ -216,15 +234,15 @@ class TestExhaustiveSearch:
         base = zero_config(24, (ch.bob_indices, ch.eve_indices))
         _, best_p = exhaustive_search(oracle, "rb", 12, base)
         it_cfg, _ = iterative_optimize(oracle, base, "rb", seed=3)
-        assert oracle(it_cfg) <= best_p
+        assert oracle(it_cfg.phases) <= best_p
 
     def test_too_large_rejected(self):
         with pytest.raises(ValueError, match="too large"):
-            exhaustive_search(lambda c: 1.0, "rb", 21)
+            exhaustive_search(lambda phases: 1.0, "rb", 21)
 
     def test_base_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            exhaustive_search(lambda c: 1.0, "rb", 3, zero_config(4))
+            exhaustive_search(lambda phases: 1.0, "rb", 3, zero_config(4))
 
 
 class TestReceivedPowerOracle:
@@ -238,8 +256,8 @@ class TestReceivedPowerOracle:
             cfg = PhaseConfig(phases, ch.bob_indices, ch.eve_indices)
             b_cs = beta_terms(sc, ch, cfg, PowerSplit(1.0, 0.0)).beta
             b_an = beta_terms(sc, ch, cfg, PowerSplit(0.0, 1.0)).beta
-            assert oracle_cs(cfg) == pytest.approx(b_cs[0] ** 2 + b_cs[1] ** 2, rel=1e-12)
-            assert oracle_an(cfg) == pytest.approx(b_an[4] ** 2 + b_an[5] ** 2, rel=1e-12)
+            assert oracle_cs(phases) == pytest.approx(b_cs[0] ** 2 + b_cs[1] ** 2, rel=1e-12)
+            assert oracle_an(phases) == pytest.approx(b_an[4] ** 2 + b_an[5] ** 2, rel=1e-12)
 
     def test_metadata_and_validation(self, table_scenario, table_channels):
         oracle = cs_power_at_bob(table_scenario, table_channels)
@@ -247,7 +265,7 @@ class TestReceivedPowerOracle:
         with pytest.raises(ValueError):
             ReceivedPowerOracle(table_scenario, table_channels, "noise", "bob")
         with pytest.raises(ValueError):
-            oracle(zero_config(8))
+            oracle(np.zeros(8))
 
 
 def _dense_grid_argmax(sc, ch, cfg, th, n=1_000_001):
