@@ -5,8 +5,8 @@ reproduction commands on scenarios/default.scn at seed 1. A refactor that
 moves any digit of any CSV, or flips a tie in a search, fails here. The
 channel digests pin the full-precision amplitude and phase arrays and the
 path-loss products, which the CSVs round to 9 significant digits; the search
-digests and capacity-ratio values do the same for the optimizer traces and the
-power-split bisection.
+digests, capacity-ratio values and power-split solutions do the same for the
+optimizer traces, the power-split bisection and the constrained solve.
 """
 
 import hashlib
@@ -17,8 +17,9 @@ import pytest
 
 from risjam.channel import build_channel_set
 from risjam.harness import default_scenario, main, optimized_config
-from risjam.optimize import capacity_ratio_alpha
+from risjam.optimize import capacity_ratio_alpha, optimize_alpha
 from risjam.scene import format_scenario, load_scenario, scenario_hash
+from risjam.secrecy import SecrecyThresholds
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO = str(ROOT / "scenarios" / "default.scn")
@@ -73,6 +74,19 @@ SEARCH_DIGESTS = {
 # README's 0.69 and 0.89), exactly as the grid-1001 scan and bisection give it.
 CAPACITY_RATIO_ALPHA = {"iterative": 0.6908281250000001, "dft": 0.8925937500000001}
 
+# repr of (alpha1, feasible, c_bob, c_eve, c_secrecy, binding) from
+# optimize_alpha at seed 1, gamma_B = 2.2 dB, grid 1001, on the bundled scene.
+OPTIMIZE_ALPHA = {
+    ("iterative", 0.01):
+        "(0.5521875, True, 7.651571593575516, 0.023746051572345425, 7.627825542003171, 'C2')",
+    ("iterative", 0.1):
+        "(0.9251640624999999, True, 10.481740842488813, 0.22150769288418867, 10.260233149604625, 'C2')",
+    ("dft", 0.01):
+        "(0.7229921875, True, 6.099585194872846, 0.023745451199534272, 6.075839743673312, 'C2')",
+    ("dft", 0.1):
+        "(0.964328125, True, 8.238505773629697, 0.2215163357508587, 8.016989437878838, 'C2')",
+}
+
 
 def scene(side: int):
     sc = load_scenario(SCENARIO)
@@ -116,6 +130,18 @@ def test_capacity_ratio_alpha_exact(algorithm):
     cfg, _ = optimized_config(sc, ch, algorithm, seed=2)
     alpha = capacity_ratio_alpha(sc, ch, cfg, 0.01, grid=1001)
     assert alpha == CAPACITY_RATIO_ALPHA[algorithm]
+
+
+@pytest.mark.parametrize("algorithm,eta", sorted(OPTIMIZE_ALPHA))
+def test_optimize_alpha_exact(algorithm, eta):
+    sc = load_scenario(SCENARIO)
+    ch = build_channel_set(sc)
+    cfg, _ = optimized_config(sc, ch, algorithm, seed=1)
+    th = SecrecyThresholds.from_eta(10.0 ** (2.2 / 10.0), eta)
+    sol = optimize_alpha(sc, ch, cfg, th, grid=1001)
+    r = sol.report
+    got = (sol.alpha1, sol.feasible, r.c_bob, r.c_eve, r.c_secrecy, sol.binding)
+    assert repr(got) == OPTIMIZE_ALPHA[(algorithm, eta)]
 
 
 def test_bundled_file_is_default_scenario():

@@ -168,6 +168,15 @@ class TestSweepAlphaCommand:
               "--seed", "9", "--alpha-grid", "7"])
         assert open(out1).read().splitlines()[2:] == open(out2).read().splitlines()[2:]
 
+    def test_config_of_wrong_length_rejected(self, scenario_file, tmp_path):
+        config = tmp_path / "short.config.txt"
+        config.write_text("0,1,0,1\n")  # 4 bits for a 256-element panel
+        out = tmp_path / "short.csv"
+        rc = main(["sweep-alpha", "--scenario", scenario_file, "--out", str(out),
+                   "--config", str(config)])
+        assert rc == EXIT_INPUT_ERROR
+        assert not out.exists()
+
 
 class TestSweepPowerCommand:
     def test_rows_and_feasibility(self, scenario_file, tmp_path):
