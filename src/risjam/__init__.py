@@ -54,8 +54,6 @@ from .secrecy import (  # noqa: F401
     PowerSplit,
     SecrecyThresholds,
     beta_terms,
-    bob_capacity,
-    eve_capacity,
     secrecy_capacity,
     sinr_values,
 )

@@ -32,7 +32,6 @@ from .scene import (
     ScenarioConfig,
     ScenarioFormatError,
     load_scenario,
-    partition_split,
     scenario_hash,
     watts_to_dbm,
 )
@@ -114,20 +113,21 @@ def optimized_config(
     against an all-zero counterpart partition and the winning codewords are
     concatenated. "zero" returns the mirror baseline.
     """
-    base = zero_config(ch.n_elements, (ch.bob_indices, ch.eve_indices))
+    base = zero_config(ch.n_elements)
     if algorithm == "zero":
         return base, {}
     cs_oracle = cs_power_at_bob(sc, ch)
     an_oracle = an_power_at_eve(sc, ch)
+    bob, eve = ch.bob_indices, ch.eve_indices
     if algorithm == "iterative":
-        cfg_b, trace_b = iterative_optimize(cs_oracle, base, "rb", seed)
-        cfg_full, trace_e = iterative_optimize(an_oracle, cfg_b, "re", seed + 1)
+        cfg_b, trace_b = iterative_optimize(cs_oracle, base, bob, seed)
+        cfg_full, trace_e = iterative_optimize(an_oracle, cfg_b, eve, seed + 1)
         return cfg_full, {"rb": trace_b, "re": trace_e}
     if algorithm == "dft":
         cb = binary_dft_codebook(ch.n_elements // 2)
-        cfg_b, trace_b = dft_sweep(cs_oracle, base, "rb", cb, seed)
-        cfg_e, trace_e = dft_sweep(an_oracle, base, "re", cb, seed + 1)
-        final = set_partition(cfg_b, "re", cfg_e.phases[list(cfg_e.eve_indices)])
+        cfg_b, trace_b = dft_sweep(cs_oracle, base, bob, cb, seed)
+        cfg_e, trace_e = dft_sweep(an_oracle, base, eve, cb, seed + 1)
+        final = set_partition(cfg_b, eve, cfg_e.phases[list(eve)])
         return final, {"rb": trace_b, "re": trace_e}
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
@@ -157,7 +157,7 @@ def _load_inputs(spec: ExperimentSpec) -> tuple[ScenarioConfig, ChannelSet]:
 
 def _phases_for(spec: ExperimentSpec, sc: ScenarioConfig, ch: ChannelSet) -> PhaseConfig:
     if spec.config_path is not None:
-        return load_phase_config(spec.config_path, partition_split(sc.ris))
+        return load_phase_config(spec.config_path)
     cfg, _ = optimized_config(sc, ch, spec.algorithm, spec.seed)
     return cfg
 
@@ -196,7 +196,7 @@ def run_sweep_alpha(spec: ExperimentSpec) -> int:
 
     block(cfg, spec.algorithm)
     if spec.include_zero and spec.algorithm != "zero":
-        block(zero_config(ch.n_elements, (ch.bob_indices, ch.eve_indices)), "zero")
+        block(zero_config(ch.n_elements), "zero")
     write_csv(spec.out, CAPACITY_REPORT_COLUMNS + ("algorithm",), rows, sc, spec.seed)
     return EXIT_OK
 
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="risjam", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, grid_default: int):
+    def add(name: str, help_text: str, grid_default: int, *, config=False, pt_sweep=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="scenario file path")
         p.add_argument("--out", required=True, help="output path (optimize-phases: prefix)")
@@ -303,18 +303,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ratio of Eve's SINR cap to Bob's SINR floor")
         p.add_argument("--gamma-bob-db", type=float, default=None,
                        help="Bob's minimum SINR in dB (no default)")
-        p.add_argument("--pt-sweep", type=str, default="-30:2:10",
-                       help="transmit power range start:step:stop in dBm")
-        p.add_argument("--config", dest="config_path", default=None,
-                       help="reuse a saved phase-config file instead of optimizing")
+        if pt_sweep:
+            p.add_argument("--pt-sweep", type=str, default="-30:2:10",
+                           help="transmit power range start:step:stop in dBm")
+        if config:
+            p.add_argument("--config", dest="config_path", default=None,
+                           help="reuse a saved phase-config file instead of optimizing")
         p.add_argument("--include-zero", action="store_true",
                        help="append mirror-baseline rows (sweep-alpha)")
         return p
 
     add("optimize-phases", "optimize both partitions, write trace + config", 101)
-    add("sweep-alpha", "capacity curves over the power split", 101)
-    add("sweep-power", "constrained optimal split across transmit powers", 1001)
-    add("solve-alpha", "single constrained power-allocation solve", 1001)
+    add("sweep-alpha", "capacity curves over the power split", 101, config=True)
+    add("sweep-power", "constrained optimal split across transmit powers", 1001,
+        config=True, pt_sweep=True)
+    add("solve-alpha", "single constrained power-allocation solve", 1001, config=True)
     add("dump-channels", "per-element channel table", 101)
     return parser
 
@@ -333,11 +336,11 @@ def main(argv=None) -> int:
             algorithm=args.algorithm,
             seed=args.seed,
             alpha_grid=args.alpha_grid,
-            pt_sweep=parse_pt_sweep(args.pt_sweep),
+            pt_sweep=parse_pt_sweep(args.pt_sweep) if "pt_sweep" in args else (),
             eta=args.eta,
             gamma_bob_db=args.gamma_bob_db,
             include_zero=args.include_zero,
-            config_path=args.config_path,
+            config_path=getattr(args, "config_path", None),
         )
         return _RUNNERS[spec.command](spec)
     except (ScenarioFormatError, ValueError, OSError) as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .channel import ChannelSet
-from .ris import PI, Codebook, PhaseConfig, set_partition, zero_config
+from .ris import PI, Codebook, PhaseConfig, set_partition
 from .scene import ScenarioConfig
 from .secrecy import (
     CapacityReport,
@@ -109,50 +109,43 @@ class TraceEntry:
 def iterative_optimize(
     oracle: MeasurementOracle,
     cfg: PhaseConfig,
-    which: str,
+    indices,
     seed: int,
-    passes: int = 1,
 ) -> tuple[PhaseConfig, list[TraceEntry]]:
-    """Coordinate ascent over one partition's binary phases.
+    """Coordinate ascent over the binary phases of the partition at `indices`.
 
-    Visits each element of the partition exactly once per pass, in a seeded
-    uniformly random order, measuring the flipped phase against the cached
-    incumbent power and keeping the better one (exact ties keep the incumbent,
-    i.e. 0 from the canonical all-zero start). One new oracle call per element
-    after the initial incumbent measurement. Each trial flips the element in a
+    Visits each element of the partition exactly once, in a seeded uniformly
+    random order, measuring the flipped phase against the cached incumbent
+    power and keeping the better one (exact ties keep the incumbent, i.e. 0
+    from the canonical all-zero start). One new oracle call per element after
+    the initial incumbent measurement. Each trial flips the element in a
     private phase vector and flips it back when the power does not improve.
     """
-    if passes < 1:
-        raise ValueError("passes must be >= 1")
-    idx = cfg.partition(which)
     rng = np.random.default_rng(seed)
     phases = np.array(cfg.phases)
     best = float(oracle(phases))
     trace: list[TraceEntry] = []
-    trial = 0
-    for _ in range(passes):
-        for j in rng.permutation(len(idx)):
-            elem = idx[int(j)]
-            trial += 1
-            kept = phases[elem]
-            phases[elem] = PI if kept == 0.0 else 0.0
-            p = float(oracle(phases))
-            if p > best:
-                best = p
-            else:
-                phases[elem] = kept
-            trace.append(TraceEntry(trial, best, best))
-    return PhaseConfig(phases, cfg.bob_indices, cfg.eve_indices), trace
+    for trial, j in enumerate(rng.permutation(len(indices)), start=1):
+        elem = indices[int(j)]
+        kept = phases[elem]
+        phases[elem] = PI if kept == 0.0 else 0.0
+        p = float(oracle(phases))
+        if p > best:
+            best = p
+        else:
+            phases[elem] = kept
+        trace.append(TraceEntry(trial, best, best))
+    return PhaseConfig(phases), trace
 
 
 def dft_sweep(
     oracle: MeasurementOracle,
     cfg: PhaseConfig,
-    which: str,
+    indices,
     cb: Codebook,
     seed: int,
 ) -> tuple[PhaseConfig, list[TraceEntry]]:
-    """Sweep a codebook over one partition and install the best codeword.
+    """Sweep a codebook over the partition at `indices` and install the best codeword.
 
     The other partition is expected to be held at 0 by the caller. If the
     codebook holds fewer codewords than the partition size, the sweep is
@@ -161,10 +154,10 @@ def dft_sweep(
     """
     if len(cb) == 0:
         raise ValueError("empty codebook")
-    idx = np.array(cfg.partition(which))
+    idx = np.array(indices)
     budget = len(idx)
     if any(cw.shape != (budget,) for cw in cb):
-        raise ValueError(f"codewords must hold {budget} phases for partition {which!r}")
+        raise ValueError(f"codewords must hold {budget} phases, one per partition element")
     rng = np.random.default_rng(seed)
     trials = list(cb)
     while len(trials) < budget:
@@ -179,42 +172,37 @@ def dft_sweep(
         if p > best:
             best_cw, best = cw, p
         trace.append(TraceEntry(t, p, best))
-    return set_partition(cfg, which, best_cw), trace
+    return set_partition(cfg, idx, best_cw), trace
 
 
 def exhaustive_search(
     oracle: MeasurementOracle,
-    which: str,
-    n_elems: int,
-    base: PhaseConfig | None = None,
+    cfg: PhaseConfig,
+    indices,
 ) -> tuple[PhaseConfig, float]:
-    """Global maximizer over all 2^n binary configs of one partition.
+    """Global maximizer over all binary phases of the partition at `indices`.
 
-    Testing oracle only: n_elems is capped at 20. `base` supplies the
-    surrounding config (other partition, split); it defaults to the all-zero
-    config with the index-halves split.
+    Testing oracle only: the partition is capped at 20 elements. cfg supplies
+    the phases of every element outside the partition.
     """
-    if n_elems < 1:
+    idx = np.array(indices)
+    n = len(idx)
+    if n < 1:
         raise ValueError("need at least one element")
-    if n_elems > MAX_EXHAUSTIVE_ELEMS:
-        raise ValueError(f"partition too large to enumerate ({n_elems} > {MAX_EXHAUSTIVE_ELEMS})")
-    if base is None:
-        base = zero_config(2 * n_elems)
-    idx = np.array(base.partition(which))
-    if len(idx) != n_elems:
-        raise ValueError("base config partition size does not match n_elems")
-    phases = np.array(base.phases)
+    if n > MAX_EXHAUSTIVE_ELEMS:
+        raise ValueError(f"partition too large to enumerate ({n} > {MAX_EXHAUSTIVE_ELEMS})")
+    phases = np.array(cfg.phases)
     best_vals = None
     best = -math.inf
-    vals = np.zeros(n_elems)
-    for code in range(1 << n_elems):
-        for i in range(n_elems):
+    vals = np.zeros(n)
+    for code in range(1 << n):
+        for i in range(n):
             vals[i] = PI if (code >> i) & 1 else 0.0
         phases[idx] = vals
         p = float(oracle(phases))
         if p > best:
             best_vals, best = vals.copy(), p  # vals is rewritten next code
-    return set_partition(base, which, best_vals), best
+    return set_partition(cfg, idx, best_vals), best
 
 
 @dataclass(frozen=True)

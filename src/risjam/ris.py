@@ -1,4 +1,4 @@
-"""Binary-phase RIS configurations, the partition structure, and sweep codebooks."""
+"""Binary-phase RIS configurations, their on-disk form, and sweep codebooks."""
 
 from __future__ import annotations
 
@@ -21,43 +21,26 @@ def _check_binary(values: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class PhaseConfig:
-    """Immutable binary phase vector with its Bob/Eve partition split.
+    """Immutable binary phase vector of the whole surface.
 
     phases[n] is the reflection phase of element n (canonical row-major
-    order); bob_indices and eve_indices partition range(N) into two equal
-    halves. Treat instances as values: updates go through set_partition,
-    which returns a new config.
+    order). The Bob/Eve partition split belongs to channel.ChannelSet;
+    functions that act on one partition take its element indices. Treat
+    instances as values: updates go through set_partition, which returns a
+    new config.
     """
 
     phases: np.ndarray
-    bob_indices: tuple[int, ...]
-    eve_indices: tuple[int, ...]
 
     def __post_init__(self):
         phases = np.array(self.phases, dtype=float)  # private copy
         _check_binary(phases, "phases")
         phases.setflags(write=False)
         object.__setattr__(self, "phases", phases)
-        n = phases.shape[0]
-        bob = tuple(sorted(self.bob_indices))
-        eve = tuple(sorted(self.eve_indices))
-        if len(bob) != n // 2 or len(eve) != n - n // 2 or n % 2 != 0:
-            raise ValueError("partitions must each hold half of an even element count")
-        if sorted(bob + eve) != list(range(n)):
-            raise ValueError("partitions must be disjoint and cover all elements")
-        object.__setattr__(self, "bob_indices", bob)
-        object.__setattr__(self, "eve_indices", eve)
 
     @property
     def n_elements(self) -> int:
         return int(self.phases.shape[0])
-
-    def partition(self, which: str) -> tuple[int, ...]:
-        if which == "rb":
-            return self.bob_indices
-        if which == "re":
-            return self.eve_indices
-        raise ValueError(f"partition must be 'rb' or 're', got {which!r}")
 
     def bits(self) -> np.ndarray:
         return (self.phases == PI).astype(np.uint8)
@@ -69,46 +52,33 @@ class PhaseConfig:
     def __eq__(self, other):
         if not isinstance(other, PhaseConfig):
             return NotImplemented
-        return (
-            np.array_equal(self.phases, other.phases)
-            and self.bob_indices == other.bob_indices
-            and self.eve_indices == other.eve_indices
-        )
+        return np.array_equal(self.phases, other.phases)
 
     def __hash__(self):
-        return hash((self.phases.tobytes(), self.bob_indices, self.eve_indices))
+        return hash(self.phases.tobytes())
 
 
-def zero_config(n_elements: int, split=None) -> PhaseConfig:
-    """All-zero (mirror-like) configuration.
-
-    Without an explicit (bob_indices, eve_indices) split the first half of
-    the canonical indices is Eve's partition and the second half Bob's;
-    geometry-aware callers should pass scene.partition_split(geometry).
-    """
-    if n_elements <= 0 or n_elements % 2 != 0:
-        raise ValueError("element count must be a positive even number")
-    if split is None:
-        half = n_elements // 2
-        split = (tuple(range(half, n_elements)), tuple(range(half)))
-    bob, eve = split
-    return PhaseConfig(np.zeros(n_elements), tuple(bob), tuple(eve))
+def zero_config(n_elements: int) -> PhaseConfig:
+    """All-zero (mirror-like) configuration of n_elements elements."""
+    if n_elements <= 0:
+        raise ValueError("element count must be positive")
+    return PhaseConfig(np.zeros(n_elements))
 
 
-def set_partition(cfg: PhaseConfig, which: str, partition_phases) -> PhaseConfig:
+def set_partition(cfg: PhaseConfig, indices, partition_phases) -> PhaseConfig:
     """Return a copy of cfg with one partition's phases replaced.
 
-    partition_phases[i] lands on the i-th (ascending) element index of the
-    chosen partition; the other partition is untouched.
+    partition_phases[i] lands on element indices[i]; the other elements are
+    untouched.
     """
-    idx = cfg.partition(which)
+    idx = np.asarray(indices, dtype=np.intp)
     vals = np.asarray(partition_phases, dtype=float)
-    if vals.shape != (len(idx),):
-        raise ValueError(f"expected {len(idx)} phases for partition {which!r}, got {vals.shape}")
+    if vals.shape != idx.shape:
+        raise ValueError(f"expected {len(idx)} phases for the partition, got {vals.shape}")
     _check_binary(vals, "partition phases")
     phases = np.array(cfg.phases)
-    phases[list(idx)] = vals
-    return PhaseConfig(phases, cfg.bob_indices, cfg.eve_indices)
+    phases[idx] = vals
+    return PhaseConfig(phases)
 
 
 @dataclass(frozen=True)
@@ -169,12 +139,8 @@ def save_phase_config(cfg: PhaseConfig, path) -> None:
         fh.write(",".join(str(int(b)) for b in cfg.bits()) + "\n")
 
 
-def load_phase_config(path, split=None) -> PhaseConfig:
-    """Load a config written by save_phase_config.
-
-    The file stores only the bits; the partition split is supplied by the
-    caller (defaults to the index-halves convention of zero_config).
-    """
+def load_phase_config(path) -> PhaseConfig:
+    """Load a config written by save_phase_config (the file stores only the bits)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read().strip()
     if not text:
@@ -185,6 +151,4 @@ def load_phase_config(path, split=None) -> PhaseConfig:
         if tok not in ("0", "1"):
             raise ValueError(f"phase-config entries must be 0 or 1, got {tok!r}")
         bits.append(int(tok))
-    base = zero_config(len(bits), split)
-    phases = np.where(np.array(bits) == 1, PI, 0.0)
-    return PhaseConfig(phases, base.bob_indices, base.eve_indices)
+    return PhaseConfig(np.where(np.array(bits) == 1, PI, 0.0))

@@ -128,8 +128,6 @@ def beta_terms(sc: ScenarioConfig, ch: ChannelSet, cfg: PhaseConfig, split: Powe
     """
     if cfg.n_elements != ch.n_elements:
         raise ValueError("phase config and channel set disagree on element count")
-    if (cfg.bob_indices, cfg.eve_indices) != (ch.bob_indices, ch.eve_indices):
-        raise ValueError("phase config and channel set disagree on the partition split")
     pt = sc.pt_watts
     beta = np.empty(8)
     for k, key in enumerate(BETA_PATHS):
@@ -153,16 +151,6 @@ def sinr_values(lp: LinkPowers) -> tuple[float, float]:
     sinr_bob = _ratio(b[0] ** 2 + b[1] ** 2, b[2] ** 2 + b[3] ** 2 + lp.noise_bob)
     sinr_eve = _ratio(b[6] ** 2 + b[7] ** 2, b[4] ** 2 + b[5] ** 2 + lp.noise_eve)
     return sinr_bob, sinr_eve
-
-
-def bob_capacity(lp: LinkPowers) -> float:
-    """log2(1 + SINR) at Bob, bits/s/Hz."""
-    return math.log2(1.0 + sinr_values(lp)[0])
-
-
-def eve_capacity(lp: LinkPowers) -> float:
-    """log2(1 + SINR) at Eve, bits/s/Hz."""
-    return math.log2(1.0 + sinr_values(lp)[1])
 
 
 def secrecy_capacity(c_bob: float, c_eve: float) -> float:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from risjam.harness import (
 )
 from risjam.channel import build_channel_set
 from risjam.ris import load_phase_config
-from risjam.scene import load_scenario, partition_split, save_scenario, RisGeometry, Position3D
+from risjam.scene import load_scenario, save_scenario, RisGeometry, Position3D
 from dataclasses import replace
 
 
@@ -41,7 +42,7 @@ def tiny_scenario_file(tmp_path_factory):
 
 
 def read_rows(path):
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0].startswith("# scenario_sha256=")
     assert " seed=" in lines[0] and " version=" in lines[0]
     header = lines[1].split(",")
@@ -90,8 +91,7 @@ class TestOptimizePhasesCommand:
         assert len(rows) == 256
         assert sum(1 for r in rows if r["partition"] == "rb") == 128
         assert sum(1 for r in rows if r["partition"] == "re") == 128
-        sc = load_scenario(scenario_file)
-        cfg = load_phase_config(out + ".config.txt", partition_split(sc.ris))
+        cfg = load_phase_config(out + ".config.txt")
         assert cfg.n_elements == 256
 
     def test_zero_algorithm_writes_mirror_config(self, tiny_scenario_file, tmp_path):
@@ -101,7 +101,7 @@ class TestOptimizePhasesCommand:
         assert rc == EXIT_OK
         header, rows = read_rows(out + ".trace.csv")
         assert rows == []
-        assert open(out + ".config.txt").read().strip() == "0,0,0,0"
+        assert Path(out + ".config.txt").read_text().strip() == "0,0,0,0"
 
     def test_dft_small_budget(self, tiny_scenario_file, tmp_path):
         out = str(tmp_path / "dft")
@@ -166,7 +166,7 @@ class TestSweepAlphaCommand:
         assert rc == EXIT_OK
         main(["sweep-alpha", "--scenario", tiny_scenario_file, "--out", out2,
               "--seed", "9", "--alpha-grid", "7"])
-        assert open(out1).read().splitlines()[2:] == open(out2).read().splitlines()[2:]
+        assert Path(out1).read_text().splitlines()[2:] == Path(out2).read_text().splitlines()[2:]
 
     def test_config_of_wrong_length_rejected(self, scenario_file, tmp_path):
         config = tmp_path / "short.config.txt"
@@ -289,6 +289,20 @@ class TestCliErrors:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_INPUT_ERROR
 
+    def test_config_only_where_read(self, tiny_scenario_file, tmp_path):
+        config = tmp_path / "c.config.txt"
+        config.write_text("0,0,0,0\n")
+        rc = main(["optimize-phases", "--scenario", tiny_scenario_file,
+                   "--out", str(tmp_path / "run"), "--config", str(config)])
+        assert rc == EXIT_INPUT_ERROR
+        assert not (tmp_path / "run.trace.csv").exists()
+
+    def test_pt_sweep_only_on_sweep_power(self, tiny_scenario_file, tmp_path):
+        rc = main(["solve-alpha", "--scenario", tiny_scenario_file,
+                   "--out", str(tmp_path / "sol.csv"), "--eta", "0.01",
+                   "--gamma-bob-db", "2.2", "--pt-sweep=-30:2:10"])
+        assert rc == EXIT_INPUT_ERROR
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "optimize-phases" in capsys.readouterr().out
@@ -306,10 +320,10 @@ class TestOptimizedConfigHelper:
 
         sc, ch = table_scenario, table_channels
         cfg, traces = optimized_config(sc, ch, "dft", seed=5)
-        base = zero_config(256, (ch.bob_indices, ch.eve_indices))
+        base = zero_config(256)
         cb = binary_dft_codebook(128)
-        cfg_b, _ = dft_sweep(cs_power_at_bob(sc, ch), base, "rb", cb, seed=5)
-        cfg_e, _ = dft_sweep(an_power_at_eve(sc, ch), base, "re", cb, seed=6)
+        cfg_b, _ = dft_sweep(cs_power_at_bob(sc, ch), base, ch.bob_indices, cb, seed=5)
+        cfg_e, _ = dft_sweep(an_power_at_eve(sc, ch), base, ch.eve_indices, cb, seed=6)
         np.testing.assert_array_equal(
             cfg.phases[list(ch.bob_indices)], cfg_b.phases[list(ch.bob_indices)]
         )

@@ -23,21 +23,20 @@ from conftest import make_random_scenario
 PI = math.pi
 
 
-def halves(phases, which):
-    """Indices of one partition of a phase vector under zero_config's split."""
-    return zero_config(len(phases)).partition(which)
+def upper(n):
+    """Toy partition for the unit tests: the upper half of n element indices."""
+    return tuple(range(n // 2, n))
 
 
-def coherent_oracle(psi, which="rb"):
-    """Toy oracle: |1 + sum over the partition of exp(-j(psi_n + theta_n))|^2.
+def coherent_oracle(psi, indices):
+    """Toy oracle: |1 + sum_i exp(-j(psi_i + theta_n))|^2 with n = indices[i].
 
     The constant unit phasor stands in for the non-target partition's fixed
     contribution and makes even a single element's phase observable.
     """
 
     def measure(phases) -> float:
-        idx = halves(phases, which)
-        total = 1.0 + sum(np.exp(-1j * (psi[i] + phases[j])) for i, j in enumerate(idx))
+        total = 1.0 + sum(np.exp(-1j * (psi[i] + phases[n])) for i, n in enumerate(indices))
         return float(abs(total)) ** 2
 
     return measure
@@ -56,31 +55,38 @@ class CountingOracle:
 class TestIterativeOptimize:
     def test_single_element_prefers_pi(self):
         cfg = zero_config(2)
-        oracle = coherent_oracle([PI], which="rb")  # flip to pi aligns the term
-        final, trace = iterative_optimize(oracle, cfg, "rb", seed=0)
-        assert final.phases[final.bob_indices[0]] == PI
+        oracle = coherent_oracle([PI], (1,))  # flip to pi aligns the term
+        final, trace = iterative_optimize(oracle, cfg, (1,), seed=0)
+        assert final.phases[1] == PI
         assert len(trace) == 1
 
     def test_constant_oracle_keeps_config(self):
-        base = set_partition(zero_config(8), "rb", np.array([PI, 0.0, PI, 0.0]))
-        final, trace = iterative_optimize(lambda phases: 1.0, base, "rb", seed=5)
+        base = set_partition(zero_config(8), upper(8), np.array([PI, 0.0, PI, 0.0]))
+        final, trace = iterative_optimize(lambda phases: 1.0, base, upper(8), seed=5)
         assert final == base
         assert all(t.best_power_w == 1.0 for t in trace)
 
+    def test_only_partition_elements_flip(self):
+        # every flip to pi pays, so exactly the given elements end at pi
+        idx = (0, 3, 5)
+        final, trace = iterative_optimize(lambda phases: float(phases.sum()), zero_config(8), idx, seed=2)
+        np.testing.assert_array_equal(np.flatnonzero(final.phases), idx)
+        assert len(trace) == 3
+
     def test_two_element_recovers_exhaustive_optimum(self):
         psi = [0.0, PI]
-        oracle = coherent_oracle(psi)
+        oracle = coherent_oracle(psi, upper(4))
         base = zero_config(4)
-        best_cfg, best_p = exhaustive_search(oracle, "rb", 2, base)
+        best_cfg, best_p = exhaustive_search(oracle, base, upper(4))
         for seed in range(6):
-            final, _ = iterative_optimize(oracle, base, "rb", seed=seed)
+            final, _ = iterative_optimize(oracle, base, upper(4), seed=seed)
             assert oracle(final.phases) == pytest.approx(best_p, rel=1e-12)
         assert best_p == pytest.approx(9.0, rel=1e-12)  # offset + two aligned phasors
 
     def test_trace_monotone_and_strictly_indexed(self, table_scenario, table_channels):
         oracle = cs_power_at_bob(table_scenario, table_channels)
-        base = zero_config(256, (table_channels.bob_indices, table_channels.eve_indices))
-        final, trace = iterative_optimize(oracle, base, "rb", seed=42)
+        base = zero_config(256)
+        final, trace = iterative_optimize(oracle, base, table_channels.bob_indices, seed=42)
         assert len(trace) == 128
         assert [t.trial for t in trace] == list(range(1, 129))
         best = [t.best_power_w for t in trace]
@@ -88,31 +94,23 @@ class TestIterativeOptimize:
         assert oracle(final.phases) == best[-1]
 
     def test_oracle_call_budget(self):
-        inner = coherent_oracle(np.linspace(0, 2 * PI, 8, endpoint=False))
+        inner = coherent_oracle(np.linspace(0, 2 * PI, 8, endpoint=False), upper(16))
         oracle = CountingOracle(inner)
-        iterative_optimize(oracle, zero_config(16), "rb", seed=1)
+        iterative_optimize(oracle, zero_config(16), upper(16), seed=1)
         assert oracle.calls == 8 + 1  # incumbent + one new call per element
 
     def test_determinism(self, table_scenario, table_channels):
         oracle = cs_power_at_bob(table_scenario, table_channels)
-        base = zero_config(256, (table_channels.bob_indices, table_channels.eve_indices))
-        a_cfg, a_trace = iterative_optimize(oracle, base, "rb", seed=7)
-        b_cfg, b_trace = iterative_optimize(oracle, base, "rb", seed=7)
+        base = zero_config(256)
+        a_cfg, a_trace = iterative_optimize(oracle, base, table_channels.bob_indices, seed=7)
+        b_cfg, b_trace = iterative_optimize(oracle, base, table_channels.bob_indices, seed=7)
         assert a_cfg == b_cfg
         assert a_trace == b_trace
-
-    def test_multi_pass(self):
-        psi = np.array([0.1, 2.0, 4.0, 5.5])
-        oracle = coherent_oracle(psi)
-        final1, trace1 = iterative_optimize(oracle, zero_config(8), "rb", seed=3, passes=1)
-        final2, trace2 = iterative_optimize(oracle, zero_config(8), "rb", seed=3, passes=2)
-        assert len(trace2) == 2 * len(trace1)
-        assert trace2[-1].best_power_w >= trace1[-1].best_power_w
 
     def test_input_config_not_mutated(self):
         base = zero_config(4)
         snapshot = np.array(base.phases)
-        iterative_optimize(coherent_oracle([0.0, PI]), base, "rb", seed=0)
+        iterative_optimize(coherent_oracle([0.0, PI], upper(4)), base, upper(4), seed=0)
         np.testing.assert_array_equal(base.phases, snapshot)
 
 
@@ -120,13 +118,13 @@ class TestDftSweep:
     def test_all_zero_codebook(self):
         cb = Codebook((np.zeros(2),))
         base = zero_config(4)
-        final, trace = dft_sweep(coherent_oracle([0.3, 0.7]), base, "rb", cb, seed=0)
+        final, trace = dft_sweep(coherent_oracle([0.3, 0.7], upper(4)), base, upper(4), cb, seed=0)
         assert final == base
         assert len(trace) == 2  # padded to the partition-size budget
 
     def test_returns_argmax_codeword(self):
         psi = [0.0, PI]
-        oracle = coherent_oracle(psi)
+        oracle = coherent_oracle(psi, upper(4))
         base = zero_config(4)
         winner = np.array([0.0, PI])
         cb = Codebook((np.zeros(2), winner, np.array([PI, 0.0])))
@@ -136,87 +134,86 @@ class TestDftSweep:
             measured.append(phases.copy())  # the sweep reuses its buffer
             return oracle(phases)
 
-        final, trace = dft_sweep(recording, base, "rb", cb, seed=0)
-        np.testing.assert_array_equal(final.phases[list(final.bob_indices)], winner)
+        final, trace = dft_sweep(recording, base, upper(4), cb, seed=0)
+        np.testing.assert_array_equal(final.phases[list(upper(4))], winner)
         assert max(t.power_w for t in trace) == trace[1].power_w
-        # trial k evaluates exactly set_partition(base, "rb", codeword k)
+        # trial k evaluates exactly set_partition(base, upper(4), codeword k)
         assert len(measured) == len(cb)
         for k, cw in enumerate(cb):
-            np.testing.assert_array_equal(measured[k], set_partition(base, "rb", cw).phases)
+            np.testing.assert_array_equal(measured[k], set_partition(base, upper(4), cw).phases)
 
     def test_sweep_bounded_by_exhaustive(self):
         rng = np.random.default_rng(17)
         cb = binary_dft_codebook(4)
+        idx = upper(8)
         for _ in range(20):
             psi = rng.uniform(0, 2 * PI, 4)
-            oracle = coherent_oracle(psi)
+            oracle = coherent_oracle(psi, idx)
             base = zero_config(8)
-            best_cfg, best_p = exhaustive_search(oracle, "rb", 4, base)
-            swept_cfg, trace = dft_sweep(oracle, base, "rb", cb, seed=3)
+            best_cfg, best_p = exhaustive_search(oracle, base, idx)
+            swept_cfg, trace = dft_sweep(oracle, base, idx, cb, seed=3)
             swept_best = max(t.power_w for t in trace)
             assert swept_best <= best_p * (1 + 1e-12)
-            optimum_bits = best_cfg.phases[list(best_cfg.bob_indices)]
+            optimum_bits = best_cfg.phases[list(idx)]
             in_book = any(np.array_equal(w, optimum_bits) for w in cb.codewords)
             if in_book:
                 assert swept_best == best_p
 
     def test_empty_codebook_rejected(self):
         with pytest.raises(ValueError):
-            dft_sweep(lambda phases: 1.0, zero_config(4), "rb", Codebook(()), seed=0)
+            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), Codebook(()), seed=0)
 
     def test_codeword_length_mismatch_rejected(self):
         # a one-element codeword would otherwise broadcast over the partition
         with pytest.raises(ValueError):
-            dft_sweep(lambda phases: 1.0, zero_config(4), "rb", Codebook((np.zeros(1),)), seed=0)
+            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), Codebook((np.zeros(1),)), seed=0)
 
     def test_budget_padding_deterministic(self, table_scenario, table_channels):
         oracle = cs_power_at_bob(table_scenario, table_channels)
-        base = zero_config(256, (table_channels.bob_indices, table_channels.eve_indices))
+        base = zero_config(256)
         cb = binary_dft_codebook(128)
         assert len(cb) < 128  # quantization collapses duplicate rows
-        cfg1, trace1 = dft_sweep(oracle, base, "rb", cb, seed=11)
-        cfg2, trace2 = dft_sweep(oracle, base, "rb", cb, seed=11)
+        cfg1, trace1 = dft_sweep(oracle, base, table_channels.bob_indices, cb, seed=11)
+        cfg2, trace2 = dft_sweep(oracle, base, table_channels.bob_indices, cb, seed=11)
         assert len(trace1) == 128
         assert cfg1 == cfg2 and trace1 == trace2
 
     def test_non_target_partition_untouched(self):
-        base = set_partition(zero_config(8), "re", np.array([PI, 0.0, PI, 0.0]))
+        base = set_partition(zero_config(8), (0, 1, 2, 3), np.array([PI, 0.0, PI, 0.0]))
         cb = binary_dft_codebook(4)
-        final, _ = dft_sweep(coherent_oracle(np.zeros(4)), base, "rb", cb, seed=0)
-        np.testing.assert_array_equal(
-            final.phases[list(final.eve_indices)], [PI, 0.0, PI, 0.0]
-        )
+        final, _ = dft_sweep(coherent_oracle(np.zeros(4), upper(8)), base, upper(8), cb, seed=0)
+        np.testing.assert_array_equal(final.phases[:4], [PI, 0.0, PI, 0.0])
 
 
 class TestExhaustiveSearch:
     def test_single_element(self):
-        oracle = CountingOracle(coherent_oracle([PI], which="rb"))
-        best_cfg, best_p = exhaustive_search(oracle, "rb", 1)
+        oracle = CountingOracle(coherent_oracle([PI], (1,)))
+        best_cfg, best_p = exhaustive_search(oracle, zero_config(2), (1,))
         assert oracle.calls == 2
         assert best_p == pytest.approx(4.0, rel=1e-12)  # flip aligns with the offset
-        assert best_cfg.phases[best_cfg.bob_indices[0]] == PI
+        assert best_cfg.phases[1] == PI
 
     def test_matches_two_element_channel_example(self):
         # pure two-phasor sum, same enumeration as the cascaded-gain test:
         # the optimum is |G|^2 = 4 (reached by (0,pi) and its global flip)
         def pure(phases):
-            idx = halves(phases, "rb")
             psi = [0.0, PI]
-            return abs(sum(np.exp(-1j * (psi[i] + phases[j]))
-                           for i, j in enumerate(idx))) ** 2
+            return abs(sum(np.exp(-1j * (psi[i] + phases[n]))
+                           for i, n in enumerate(upper(4)))) ** 2
 
-        _, best_p = exhaustive_search(pure, "rb", 2)
+        _, best_p = exhaustive_search(pure, zero_config(4), upper(4))
         assert best_p == pytest.approx(4.0, rel=1e-12)
 
     def test_upper_bounds_iterative(self):
         rng = np.random.default_rng(23)
+        idx = upper(12)
         for _ in range(10):
             psi = rng.uniform(0, 2 * PI, 6)
-            oracle = coherent_oracle(psi)
+            oracle = coherent_oracle(psi, idx)
             base = zero_config(12)
-            best_cfg, best_p = exhaustive_search(oracle, "rb", 6, base)
+            best_cfg, best_p = exhaustive_search(oracle, base, idx)
             assert oracle(best_cfg.phases) == best_p  # the argmax, not the last code tried
-            final, _ = iterative_optimize(oracle, base, "rb", seed=int(rng.integers(1000)))
+            final, _ = iterative_optimize(oracle, base, idx, seed=int(rng.integers(1000)))
             assert oracle(final.phases) <= best_p * (1 + 1e-12)
 
     def test_upper_bounds_both_algorithms_on_12_elements(self, table_scenario):
@@ -231,18 +228,18 @@ class TestExhaustiveSearch:
         )
         ch = build_channel_set(sc)
         oracle = cs_power_at_bob(sc, ch)
-        base = zero_config(24, (ch.bob_indices, ch.eve_indices))
-        _, best_p = exhaustive_search(oracle, "rb", 12, base)
-        it_cfg, _ = iterative_optimize(oracle, base, "rb", seed=3)
+        base = zero_config(24)
+        _, best_p = exhaustive_search(oracle, base, ch.bob_indices)
+        it_cfg, _ = iterative_optimize(oracle, base, ch.bob_indices, seed=3)
         assert oracle(it_cfg.phases) <= best_p
 
     def test_too_large_rejected(self):
         with pytest.raises(ValueError, match="too large"):
-            exhaustive_search(lambda phases: 1.0, "rb", 21)
+            exhaustive_search(lambda phases: 1.0, zero_config(21), range(21))
 
-    def test_base_size_mismatch_rejected(self):
+    def test_empty_partition_rejected(self):
         with pytest.raises(ValueError):
-            exhaustive_search(lambda phases: 1.0, "rb", 3, zero_config(4))
+            exhaustive_search(lambda phases: 1.0, zero_config(2), ())
 
 
 class TestReceivedPowerOracle:
@@ -253,7 +250,7 @@ class TestReceivedPowerOracle:
         oracle_an = an_power_at_eve(sc, ch)
         for _ in range(5):
             phases = rng.choice([0.0, PI], 256)
-            cfg = PhaseConfig(phases, ch.bob_indices, ch.eve_indices)
+            cfg = PhaseConfig(phases)
             b_cs = beta_terms(sc, ch, cfg, PowerSplit(1.0, 0.0)).beta
             b_an = beta_terms(sc, ch, cfg, PowerSplit(0.0, 1.0)).beta
             assert oracle_cs(phases) == pytest.approx(b_cs[0] ** 2 + b_cs[1] ** 2, rel=1e-12)
@@ -316,14 +313,14 @@ class TestOptimizeAlpha:
         assert 0.95 <= sol.alpha1 < 1.0
 
     def test_zero_eve_cap_forces_zero_alpha(self, table_scenario, table_channels):
-        cfg = zero_config(256, (table_channels.bob_indices, table_channels.eve_indices))
+        cfg = zero_config(256)
         sol = optimize_alpha(table_scenario, table_channels, cfg,
                              SecrecyThresholds(0.0, 0.0), grid=101)
         assert sol.feasible
         assert sol.alpha1 == 0.0
 
     def test_infeasible_reported(self, table_scenario, table_channels):
-        cfg = zero_config(256, (table_channels.bob_indices, table_channels.eve_indices))
+        cfg = zero_config(256)
         # Bob floor far above anything achievable at -9 dBm transmit power
         th = SecrecyThresholds(1e12, math.inf)
         sol = optimize_alpha(table_scenario, table_channels, cfg, th, grid=101)
@@ -356,7 +353,7 @@ class TestOptimizeAlpha:
         assert sol2.alpha1 == pytest.approx(sol1.alpha1, abs=2e-5)
 
     def test_grid_validation(self, table_scenario, table_channels):
-        cfg = zero_config(256, (table_channels.bob_indices, table_channels.eve_indices))
+        cfg = zero_config(256)
         with pytest.raises(ValueError):
             optimize_alpha(table_scenario, table_channels, cfg,
                            SecrecyThresholds(0.0, math.inf), grid=1)
@@ -387,7 +384,7 @@ class TestCapacityRatioAlpha:
         assert math.log2(1 + se2) > ratio * math.log2(1 + sb2)
 
     def test_ratio_validation(self, table_scenario, table_channels):
-        cfg = zero_config(256, (table_channels.bob_indices, table_channels.eve_indices))
+        cfg = zero_config(256)
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 capacity_ratio_alpha(table_scenario, table_channels, cfg, bad, grid=101)

@@ -20,80 +20,71 @@ class TestZeroConfig:
     def test_two_elements(self):
         cfg = zero_config(2)
         np.testing.assert_array_equal(cfg.phases, [0.0, 0.0])
-        assert cfg.eve_indices == (0,)
-        assert cfg.bob_indices == (1,)
 
     def test_256_elements(self):
         cfg = zero_config(256)
         assert cfg.n_elements == 256
         assert np.all(cfg.phases == 0.0)
-        assert len(cfg.bob_indices) == len(cfg.eve_indices) == 128
 
-    def test_odd_count_rejected(self):
-        with pytest.raises(ValueError):
-            zero_config(3)
-
-    def test_explicit_split(self):
-        cfg = zero_config(4, ((0, 2), (1, 3)))
-        assert cfg.bob_indices == (0, 2)
-        assert cfg.eve_indices == (1, 3)
-
-    def test_bad_split_rejected(self):
-        with pytest.raises(ValueError):
-            zero_config(4, ((0, 1), (1, 3)))  # overlapping
-        with pytest.raises(ValueError):
-            zero_config(4, ((0,), (1, 2, 3)))  # unbalanced
+    def test_non_positive_count_rejected(self):
+        for bad in (0, -2):
+            with pytest.raises(ValueError):
+                zero_config(bad)
 
 
 class TestPhaseConfig:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
-            PhaseConfig(np.array([0.0, 1.0]), (1,), (0,))
+            PhaseConfig(np.array([0.0, 1.0]))
 
     def test_phases_are_read_only(self):
         cfg = zero_config(4)
         with pytest.raises(ValueError):
             cfg.phases[0] = PI
 
+    def test_input_copied(self):
+        phases = np.zeros(4)
+        cfg = PhaseConfig(phases)
+        phases[0] = PI
+        assert np.all(cfg.phases == 0.0)
+
     def test_equality_and_hash(self):
         a, b = zero_config(4), zero_config(4)
         assert a == b
         assert hash(a) == hash(b)
-        assert a != set_partition(a, "re", np.array([PI, PI]))
-
-    def test_partition_lookup(self):
-        cfg = zero_config(4)
-        assert cfg.partition("rb") == cfg.bob_indices
-        assert cfg.partition("re") == cfg.eve_indices
-        with pytest.raises(ValueError):
-            cfg.partition("middle")
+        assert a != set_partition(a, (0, 1), np.array([PI, PI]))
 
 
 class TestSetPartition:
     def test_set_eve_all_pi(self):
-        cfg = set_partition(zero_config(8), "re", np.full(4, PI))
-        assert all(cfg.phases[i] == PI for i in cfg.eve_indices)
-        assert all(cfg.phases[i] == 0.0 for i in cfg.bob_indices)
+        eve, bob = (0, 1, 4, 5), (2, 3, 6, 7)  # low / high columns of a 2x4 panel
+        cfg = set_partition(zero_config(8), eve, np.full(4, PI))
+        assert all(cfg.phases[i] == PI for i in eve)
+        assert all(cfg.phases[i] == 0.0 for i in bob)
+
+    def test_values_follow_index_order(self):
+        cfg = set_partition(zero_config(4), (3, 0), np.array([PI, 0.0]))
+        np.testing.assert_array_equal(cfg.phases, [0.0, 0.0, 0.0, PI])
 
     def test_set_then_reset_is_involution(self):
         base = zero_config(8)
-        once = set_partition(base, "rb", np.full(4, PI))
-        back = set_partition(once, "rb", np.zeros(4))
+        once = set_partition(base, (4, 5, 6, 7), np.full(4, PI))
+        back = set_partition(once, (4, 5, 6, 7), np.zeros(4))
         assert back == base
 
     def test_input_not_mutated(self):
         base = zero_config(6)
         snapshot = np.array(base.phases)
-        set_partition(base, "re", np.full(3, PI))
+        set_partition(base, (0, 1, 2), np.full(3, PI))
         np.testing.assert_array_equal(base.phases, snapshot)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            set_partition(zero_config(8), "rb", np.zeros(3))
+            set_partition(zero_config(8), (4, 5, 6, 7), np.zeros(3))
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
-            set_partition(zero_config(8), "rb", np.full(4, 0.5))
+            set_partition(zero_config(8), (4, 5, 6, 7), np.full(4, 0.5))
 
 
 def _quantize_row_oracle(k: int, m: int) -> np.ndarray:
@@ -175,18 +166,16 @@ class TestOnDiskFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(9)
         for trial in range(20):
-            n = int(rng.integers(1, 40)) * 2
-            phases = rng.choice([0.0, PI], n)
-            split_point = n // 2
-            cfg = PhaseConfig(phases, tuple(range(split_point, n)), tuple(range(split_point)))
+            phases = rng.choice([0.0, PI], int(rng.integers(1, 80)))
+            cfg = PhaseConfig(phases)
             path = tmp_path / f"cfg_{trial}.txt"
             save_phase_config(cfg, path)
-            again = load_phase_config(path, (cfg.bob_indices, cfg.eve_indices))
+            again = load_phase_config(path)
             assert again == cfg
             assert np.array_equal(again.phases, cfg.phases)
 
     def test_file_contents(self, tmp_path):
-        cfg = set_partition(zero_config(4), "re", np.array([PI, PI]))
+        cfg = set_partition(zero_config(4), (0, 1), np.array([PI, PI]))
         path = tmp_path / "c.txt"
         save_phase_config(cfg, path)
         assert path.read_text() == "1,1,0,0\n"
