@@ -59,6 +59,15 @@ class ReceivedPowerOracle:
     binary-phase argmax is invariant to the power split, which is allocated
     separately. Both partitions contribute (the non-target partition adds a
     constant floor while it is held fixed).
+
+    The oracle keeps a copy of the last vector it measured and each
+    partition's power there. A vector that differs from it in at most two
+    elements, each set to 0 or pi (a search's flip trial, or a rejected flip's
+    revert plus the next flip), is measured by copying those elements' terms
+    from per-element tables of both binary states into the partition's term
+    array and re-summing it. The array equals the one coherent_sum builds,
+    element for element, so the power is the same to the last bit. Any other
+    vector is measured in full.
     """
 
     def __init__(self, sc: ScenarioConfig, ch: ChannelSet, signal: str, user: str):
@@ -75,16 +84,64 @@ class ReceivedPowerOracle:
         pt = sc.pt_watts
         paths = [ch.paths[(src, part, out)] for part in ("rb", "re")]
         self._parts = [(path, pt * path.path_loss) for path in paths]
+        self._last = None  # copy of the last measured vector
+        self._powers = [0.0, 0.0]  # each partition's power at _last
+        self._terms = [None, None]  # each partition's terms at _last, once built
+        self._tables = [None, None]  # each partition's (theta=0, theta=pi) terms
+        self._part = np.full(self._n, -1)  # each element's partition, -1 for neither
+        self._pos = np.zeros(self._n, dtype=np.intp)  # and its position in it
+        for k, (path, _) in enumerate(self._parts):
+            self._part[path.indices], self._pos[path.indices] = k, np.arange(len(path.indices))
 
     def __call__(self, phases: np.ndarray) -> float:
         if np.shape(phases) != (self._n,):
             raise ValueError("phase vector length does not match the channel set")
         self.calls += 1
-        total = 0.0
-        for path, scale in self._parts:
+        if self._last is not None:
+            changed = phases != self._last
+            if np.count_nonzero(changed) <= 2 and self._flip(phases, np.flatnonzero(changed)):
+                return 0.0 + self._powers[0] + self._powers[1]
+        for k, (path, scale) in enumerate(self._parts):
             g = kernels.coherent_sum(path.amplitude, path.phase, phases[path.indices])
-            total += scale * (g.real * g.real + g.imag * g.imag)
-        return total
+            self._powers[k] = scale * (g.real * g.real + g.imag * g.imag)
+        self._last = np.array(phases, dtype=float)
+        self._terms = [None, None]
+        return 0.0 + self._powers[0] + self._powers[1]
+
+    def _flip(self, phases: np.ndarray, elems: np.ndarray) -> bool:
+        """Move to `phases`, which differs from the last vector at `elems`, from the tables.
+
+        Only the partitions that hold a changed element are re-summed. Returns
+        False, with nothing updated, when a changed element is not binary, or
+        when a partition without a term array at the last vector (as after a
+        full measurement) is not binary at `phases`.
+        """
+        if not _is_binary(phases[elems]):
+            return False
+        part, pos = self._part, self._pos
+        touched = set(part[elems].tolist()) - {-1}
+        stale = {k for k in touched if self._terms[k] is None}
+        if not all(_is_binary(phases[self._parts[k][0].indices]) for k in stale):
+            return False
+        for k in touched:
+            path, scale = self._parts[k]
+            if self._tables[k] is None:
+                self._tables[k] = [path.amplitude * np.exp(-1j * (path.phase + t)) for t in (0.0, PI)]
+            t0, tpi = self._tables[k]
+            if k in stale:
+                self._terms[k] = np.where(phases[path.indices] == PI, tpi, t0)
+            else:
+                for e in elems[part[elems] == k].tolist():
+                    i = pos[e]
+                    self._terms[k][i] = tpi[i] if phases[e] == PI else t0[i]
+            g = complex(np.sum(self._terms[k]))
+            self._powers[k] = scale * (g.real * g.real + g.imag * g.imag)
+        self._last[elems] = phases[elems]
+        return True
+
+
+def _is_binary(theta: np.ndarray) -> bool:
+    return bool(np.all((theta == 0.0) | (theta == PI)))
 
 
 def cs_power_at_bob(sc: ScenarioConfig, ch: ChannelSet) -> ReceivedPowerOracle:

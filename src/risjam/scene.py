@@ -268,8 +268,16 @@ class ScenarioConfig:
         elems = element_positions(self.ris)
         if not np.all(np.isfinite(elems)):
             raise ValueError("RIS element coordinates must be finite")
+        center, normal = self.ris.center.as_array(), np.asarray(self.ris.normal)
         for node_name in ("cs_tx", "an_tx", "bob", "eve"):
             node = getattr(self, node_name).as_array()
+            # The surface reflects into the half-space it faces; behind it the
+            # cosine element pattern is zero, so the couplings would vanish
+            # without a reason given.
+            if not float(np.dot(node - center, normal)) > 0.0:
+                raise DegenerateGeometryError(
+                    f"{node_name} is not in front of the RIS surface plane"
+                )
             if np.min(np.linalg.norm(elems - node, axis=1)) < 1e-9:
                 raise DegenerateGeometryError(
                     f"{node_name} coincides with an RIS element position"

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from risjam.channel import build_channel_set
 from risjam.harness import default_scenario
 from risjam.scene import AntennaPattern, Position3D, RisGeometry, ScenarioConfig
+
+# Every property test draws the same examples on every run.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

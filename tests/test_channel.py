@@ -117,7 +117,7 @@ class TestArrayHopMatchesScalar:
     batched rotation matmul.
     """
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(node=_point, elements=st.lists(_point, min_size=1, max_size=6),
            fc=st.floats(1e8, 1e11), node_pat=_pattern, el_pat=_pattern,
            node_bs=_boresight, el_bs=_boresight, node_is_tx=st.booleans())

@@ -235,6 +235,18 @@ class TestSolveAlphaCommand:
         assert len(rows) == 1
         assert 0.0 < float(rows[0]["alpha1"]) < 1.0
 
+    def test_bob_behind_the_panel_is_input_error(self, scenario_file, tmp_path, capsys):
+        text = Path(scenario_file).read_text()
+        assert "\nbob = 1.19, 1.41, 0.0\n" in text
+        scn = tmp_path / "behind.scn"
+        scn.write_text(text.replace("\nbob = 1.19,", "\nbob = -1.19,"))
+        out = tmp_path / "behind.csv"
+        rc = main(["solve-alpha", "--scenario", str(scn), "--out", str(out),
+                   "--seed", "1", "--eta", "0.01", "--gamma-bob-db", "2.2"])
+        assert rc == EXIT_INPUT_ERROR
+        assert "bob is not in front" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_exit(self, scenario_file, tmp_path):
         rc = main(["solve-alpha", "--scenario", scenario_file,
                    "--out", str(tmp_path / "sol2.csv"),

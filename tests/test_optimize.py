@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from risjam.channel import build_channel_set
 from risjam.optimize import (
@@ -263,6 +265,67 @@ class TestReceivedPowerOracle:
             ReceivedPowerOracle(table_scenario, table_channels, "noise", "bob")
         with pytest.raises(ValueError):
             oracle(np.zeros(8))
+
+
+# One caller step: (kind, element or seed, value). "flip" toggles an element
+# between 0 and pi, "reject" toggles it and restores it after the call (so the
+# next call sees the revert and its own change), "codeword" writes seeded
+# binary phases over a whole partition, "set" writes `value`, which may be
+# non-binary or a signed zero.
+_STEPS = st.lists(
+    st.tuples(st.sampled_from(["flip", "reject", "codeword", "set"]), st.integers(0, 2**16),
+              st.sampled_from([0.0, PI, -0.0, 1.0, 2.0 * PI, -PI])),
+    max_size=40,
+)
+_MIXED = [("flip", 0, 0.0), ("reject", 1, 0.0), ("flip", 2, 0.0), ("set", 3, 1.0),
+          ("flip", 4, 0.0), ("reject", 3, 0.0), ("set", 3, 0.0), ("flip", 5, 0.0),
+          ("codeword", 7, 0.0), ("flip", 6, 0.0), ("set", 1, -0.0), ("reject", 2, 0.0),
+          ("codeword", 8, 0.0), ("codeword", 8, 0.0), ("flip", 7, 0.0)]
+
+
+class TestFlipAwareOracle:
+    """Every answer equals a fresh oracle's full measurement of the same vector, bit for bit."""
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(1, 2), (2, 2), (3, 4), (4, 6)]),
+           link=st.sampled_from([("cs", "bob"), ("an", "eve"), ("cs", "eve"), ("an", "bob")]),
+           steps=_STEPS)
+    @example(seed=3, shape=(3, 4), link=("cs", "bob"), steps=_MIXED)
+    @example(seed=4, shape=(4, 6), link=("an", "eve"), steps=_MIXED[::-1])
+    def test_matches_a_fresh_oracle(self, seed, shape, link, steps):
+        rng = np.random.default_rng(seed)
+        sc = make_random_scenario(rng, *shape)
+        ch = build_channel_set(sc)
+        n = ch.n_elements
+        oracle = ReceivedPowerOracle(sc, ch, *link)
+        phases = np.zeros(n)
+        buffer = np.empty(n)
+        calls = 0
+
+        def measure():
+            nonlocal calls
+            buffer[:] = phases
+            p = oracle(buffer)
+            calls += 1
+            buffer[:] = rng.uniform(-10.0, 10.0, n)  # the caller reuses its buffer
+            assert p == ReceivedPowerOracle(sc, ch, *link)(phases)
+
+        measure()
+        for kind, k, value in steps:
+            e = k % n
+            kept = phases[e]
+            if kind in ("flip", "reject"):
+                phases[e] = PI if kept == 0.0 else 0.0
+            elif kind == "codeword":
+                idx = list(ch.partition("rb" if k % 2 else "re"))
+                phases[idx] = np.random.default_rng(k).choice([0.0, PI], len(idx))
+            else:
+                phases[e] = value
+            measure()
+            if kind == "reject":
+                phases[e] = kept
+        measure()
+        assert oracle.calls == calls
 
 
 def _dense_grid_argmax(sc, ch, cfg, th, n=1_000_001):

@@ -77,10 +77,21 @@ class TestScenarioValidation:
     def test_node_on_an_element_rejected(self, table_scenario):
         from dataclasses import replace
 
-        corner = Position3D(*table_scenario.elements[17].tolist())
+        # 1e-11 m in front of the panel, so the surface-plane rule passes it
+        x, y, z = table_scenario.elements[17].tolist()
+        corner = Position3D(x + 1e-11, y, z)
         for node in ("cs_tx", "an_tx", "bob", "eve"):
-            with pytest.raises(DegenerateGeometryError, match=node):
+            with pytest.raises(DegenerateGeometryError, match=f"{node} coincides"):
                 replace(table_scenario, **{node: corner})
+
+    @pytest.mark.parametrize("node", ["cs_tx", "an_tx", "bob", "eve"])
+    def test_node_behind_or_on_the_panel_plane_rejected(self, table_scenario, node):
+        from dataclasses import replace
+
+        p = getattr(table_scenario, node)  # the default panel faces +x
+        for x in (-p.x, 0.0):
+            with pytest.raises(DegenerateGeometryError, match=f"{node} is not in front"):
+                replace(table_scenario, **{node: Position3D(x, p.y, p.z)})
 
     def test_non_finite_lattice_rejected(self, table_scenario):
         text = format_scenario(table_scenario).replace("ris_spacing_m = 0.041", "ris_spacing_m = inf")
