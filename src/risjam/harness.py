@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,31 +53,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
-
-@dataclass
-class ExperimentSpec:
-    """Parsed description of one harness invocation."""
-
-    command: str
-    scenario_path: str
-    out: str
-    algorithm: str = "iterative"
-    seed: int = 1
-    alpha_grid: int = 101
-    pt_sweep: tuple[float, ...] = ()
-    eta: float | None = None
-    gamma_bob_db: float | None = None
-    include_zero: bool = False
-    config_path: str | None = None
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.alpha_grid < 2:
-            raise ValueError("alpha grid must have at least 2 points")
-        for path in (self.scenario_path, self.config_path):
-            if path is not None and not os.path.isfile(path):
-                raise ValueError(f"file not found: {path}")
+DEFAULT_SEED = 1
 
 
 def default_scenario() -> ScenarioConfig:
@@ -150,39 +125,39 @@ def write_csv(path, columns, rows, sc: ScenarioConfig, seed: int) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _load_inputs(spec: ExperimentSpec) -> tuple[ScenarioConfig, ChannelSet]:
-    sc = load_scenario(spec.scenario_path)
+def _load_inputs(args: argparse.Namespace) -> tuple[ScenarioConfig, ChannelSet]:
+    sc = load_scenario(args.scenario)
     return sc, build_channel_set(sc)
 
 
-def _phases_for(spec: ExperimentSpec, sc: ScenarioConfig, ch: ChannelSet) -> PhaseConfig:
-    if spec.config_path is not None:
-        return load_phase_config(spec.config_path)
-    cfg, _ = optimized_config(sc, ch, spec.algorithm, spec.seed)
+def _phases_for(args: argparse.Namespace, sc: ScenarioConfig, ch: ChannelSet) -> PhaseConfig:
+    if args.config is not None:
+        return load_phase_config(args.config)
+    cfg, _ = optimized_config(sc, ch, args.algorithm, args.seed)
     return cfg
 
 
-def run_optimize_phases(spec: ExperimentSpec) -> int:
+def run_optimize_phases(args: argparse.Namespace) -> int:
     """Optimize both partitions; write <out>.trace.csv and <out>.config.txt."""
-    sc, ch = _load_inputs(spec)
-    cfg, traces = optimized_config(sc, ch, spec.algorithm, spec.seed)
+    sc, ch = _load_inputs(args)
+    cfg, traces = optimized_config(sc, ch, args.algorithm, args.seed)
     rows = []
     for part in ("rb", "re"):
         for entry in traces.get(part, []):
             rows.append(
                 (entry.trial, watts_to_dbm(entry.power_w), watts_to_dbm(entry.best_power_w),
-                 part, spec.algorithm)
+                 part, args.algorithm)
             )
-    write_csv(f"{spec.out}.trace.csv", TRACE_COLUMNS, rows, sc, spec.seed)
-    save_phase_config(cfg, f"{spec.out}.config.txt")
+    write_csv(f"{args.out}.trace.csv", TRACE_COLUMNS, rows, sc, args.seed)
+    save_phase_config(cfg, f"{args.out}.config.txt")
     return EXIT_OK
 
 
-def run_sweep_alpha(spec: ExperimentSpec) -> int:
+def run_sweep_alpha(args: argparse.Namespace) -> int:
     """Capacity curves over the power split for the selected phase config."""
-    sc, ch = _load_inputs(spec)
-    cfg = _phases_for(spec, sc, ch)
-    alphas = np.linspace(0.0, 1.0, spec.alpha_grid)
+    sc, ch = _load_inputs(args)
+    cfg = _phases_for(args, sc, ch)
+    alphas = np.linspace(0.0, 1.0, args.alpha_grid)
     rows = []
 
     def block(config: PhaseConfig, label: str):
@@ -194,91 +169,93 @@ def run_sweep_alpha(spec: ExperimentSpec) -> int:
             cb, ce = float(_fmt(row[1])), float(_fmt(row[2]))
             rows.append((row[0], row[1], row[2], max(cb - ce, 0.0), row[4], row[5], label))
 
-    block(cfg, spec.algorithm)
-    if spec.include_zero and spec.algorithm != "zero":
+    block(cfg, args.algorithm)
+    if args.include_zero and args.algorithm != "zero":
         block(zero_config(ch.n_elements), "zero")
-    write_csv(spec.out, CAPACITY_REPORT_COLUMNS + ("algorithm",), rows, sc, spec.seed)
+    write_csv(args.out, CAPACITY_REPORT_COLUMNS + ("algorithm",), rows, sc, args.seed)
     return EXIT_OK
 
 
-def _thresholds(spec: ExperimentSpec) -> SecrecyThresholds:
-    if spec.gamma_bob_db is None:
-        raise ValueError("this command requires --gamma-bob-db")
-    if spec.eta is None:
-        raise ValueError("this command requires --eta")
-    gamma_bob = 10.0 ** (spec.gamma_bob_db / 10.0)
-    return SecrecyThresholds.from_eta(gamma_bob, spec.eta)
+def _thresholds(args: argparse.Namespace) -> SecrecyThresholds:
+    try:
+        gamma_bob = 10.0 ** (args.gamma_bob_db / 10.0)
+    except OverflowError:  # beyond float range: rejected below as a non-finite floor
+        gamma_bob = math.inf
+    return SecrecyThresholds.from_eta(gamma_bob, args.eta)
 
 
-def run_sweep_power(spec: ExperimentSpec) -> int:
+def run_sweep_power(args: argparse.Namespace) -> int:
     """Optimal power split and capacities across a transmit-power sweep.
 
     Phases are optimized once (the binary-phase argmax does not depend on the
     transmit power) and reused at every sweep point.
     """
-    if not spec.pt_sweep:
-        raise ValueError("sweep-power requires a non-empty --pt-sweep range")
-    th = _thresholds(spec)
-    sc, ch = _load_inputs(spec)
-    cfg = _phases_for(spec, sc, ch)
+    th = _thresholds(args)
+    sc, ch = _load_inputs(args)
+    cfg = _phases_for(args, sc, ch)
     rows = []
     any_feasible = False
-    for pt in spec.pt_sweep:
-        sol = optimize_alpha(replace(sc, pt_dbm=float(pt)), ch, cfg, th, spec.alpha_grid)
+    for pt in args.pt_sweep:
+        sol = optimize_alpha(replace(sc, pt_dbm=float(pt)), ch, cfg, th, args.alpha_grid)
         any_feasible = any_feasible or sol.feasible
         rows.append(
             (float(pt), sol.alpha1, sol.feasible,
              sol.report.c_bob, sol.report.c_eve, sol.report.c_secrecy)
         )
-    write_csv(spec.out, POWER_SWEEP_COLUMNS, rows, sc, spec.seed)
+    write_csv(args.out, POWER_SWEEP_COLUMNS, rows, sc, args.seed)
     return EXIT_OK if any_feasible else EXIT_INFEASIBLE
 
 
-def run_solve_alpha(spec: ExperimentSpec) -> int:
+def run_solve_alpha(args: argparse.Namespace) -> int:
     """Single constrained power-allocation solve at the scenario's power."""
-    th = _thresholds(spec)
-    sc, ch = _load_inputs(spec)
-    cfg = _phases_for(spec, sc, ch)
-    sol = optimize_alpha(sc, ch, cfg, th, spec.alpha_grid)
+    th = _thresholds(args)
+    sc, ch = _load_inputs(args)
+    cfg = _phases_for(args, sc, ch)
+    sol = optimize_alpha(sc, ch, cfg, th, args.alpha_grid)
     rows = [
         (sol.alpha1, sol.feasible, sol.report.c_bob, sol.report.c_eve,
          sol.report.c_secrecy, sol.binding)
     ]
-    write_csv(spec.out, SOLUTION_COLUMNS, rows, sc, spec.seed)
+    write_csv(args.out, SOLUTION_COLUMNS, rows, sc, args.seed)
     return EXIT_OK if sol.feasible else EXIT_INFEASIBLE
 
 
-def run_dump_channels(spec: ExperimentSpec) -> int:
-    """Per-element channel amplitudes and phases as CSV."""
-    sc, ch = _load_inputs(spec)
-    write_csv(spec.out, CHANNEL_DUMP_COLUMNS, channel_dump_rows(ch), sc, spec.seed)
+def run_dump_channels(args: argparse.Namespace) -> int:
+    """Per-element channel amplitudes and phases as CSV.
+
+    The table depends on no seed; the header records the default one.
+    """
+    sc, ch = _load_inputs(args)
+    write_csv(args.out, CHANNEL_DUMP_COLUMNS, channel_dump_rows(ch), sc, DEFAULT_SEED)
     return EXIT_OK
-
-
-_RUNNERS = {
-    "optimize-phases": run_optimize_phases,
-    "sweep-alpha": run_sweep_alpha,
-    "sweep-power": run_sweep_power,
-    "solve-alpha": run_solve_alpha,
-    "dump-channels": run_dump_channels,
-}
 
 
 def parse_pt_sweep(text: str) -> tuple[float, ...]:
     """Parse 'start:step:stop' (dBm, inclusive stop) into a power list."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"--pt-sweep expects start:step:stop, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected start:step:stop, got {text!r}")
     try:
         start, step, stop = (float(p) for p in parts)
     except ValueError as exc:
-        raise ValueError(f"--pt-sweep values must be numbers: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"values must be numbers, got {text!r}") from exc
     if step <= 0.0:
-        raise ValueError("--pt-sweep step must be positive")
+        raise argparse.ArgumentTypeError(f"step must be positive, got {text!r}")
+    span = (stop - start) / step
+    if not all(math.isfinite(v) for v in (start, step, stop, span)):
+        raise argparse.ArgumentTypeError(f"values and point count must be finite, got {text!r}")
     if stop < start:
-        raise ValueError("--pt-sweep stop must not be below start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        raise argparse.ArgumentTypeError(f"stop must not be below start, got {text!r}")
+    count = int(math.floor(span + 1e-9)) + 1
     return tuple(start + k * step for k in range(count))
+
+
+def parse_alpha_grid(text: str) -> int:
+    """Parse the number of power-split grid points (at least 2)."""
+    points = int(text)
+    if points < 2:
+        raise argparse.ArgumentTypeError(f"must have at least 2 points, got {points}")
+    return points
 
 
 class _Parser(argparse.ArgumentParser):
@@ -289,60 +266,59 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, registering exactly the flags its runner reads."""
     parser = _Parser(prog="risjam", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, grid_default: int, *, config=False, pt_sweep=False):
+    def command(name, run, help_text):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--scenario", required=True, help="scenario file path")
         p.add_argument("--out", required=True, help="output path (optimize-phases: prefix)")
-        p.add_argument("--algorithm", choices=ALGORITHMS, default="iterative")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--alpha-grid", type=int, default=grid_default)
-        p.add_argument("--eta", type=float, default=None,
-                       help="ratio of Eve's SINR cap to Bob's SINR floor")
-        p.add_argument("--gamma-bob-db", type=float, default=None,
-                       help="Bob's minimum SINR in dB (no default)")
-        if pt_sweep:
-            p.add_argument("--pt-sweep", type=str, default="-30:2:10",
-                           help="transmit power range start:step:stop in dBm")
-        if config:
-            p.add_argument("--config", dest="config_path", default=None,
-                           help="reuse a saved phase-config file instead of optimizing")
-        p.add_argument("--include-zero", action="store_true",
-                       help="append mirror-baseline rows (sweep-alpha)")
         return p
 
-    add("optimize-phases", "optimize both partitions, write trace + config", 101)
-    add("sweep-alpha", "capacity curves over the power split", 101, config=True)
-    add("sweep-power", "constrained optimal split across transmit powers", 1001,
-        config=True, pt_sweep=True)
-    add("solve-alpha", "single constrained power-allocation solve", 1001, config=True)
-    add("dump-channels", "per-element channel table", 101)
+    def optimizing(name, run, help_text):
+        p = command(name, run, help_text)
+        p.add_argument("--algorithm", choices=ALGORITHMS, default="iterative")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        return p
+
+    def splitting(name, run, help_text, grid_default):
+        p = optimizing(name, run, help_text)
+        p.add_argument("--alpha-grid", type=parse_alpha_grid, default=grid_default,
+                       help="number of power-split grid points (at least 2)")
+        p.add_argument("--config", default=None,
+                       help="reuse a saved phase-config file instead of optimizing")
+        return p
+
+    def constrained(name, run, help_text):
+        p = splitting(name, run, help_text, 1001)
+        p.add_argument("--eta", type=float, required=True,
+                       help="ratio of Eve's SINR cap to Bob's SINR floor")
+        p.add_argument("--gamma-bob-db", type=float, required=True,
+                       help="Bob's minimum SINR in dB")
+        return p
+
+    optimizing("optimize-phases", run_optimize_phases,
+               "optimize both partitions, write trace + config")
+    p = splitting("sweep-alpha", run_sweep_alpha, "capacity curves over the power split", 101)
+    p.add_argument("--include-zero", action="store_true", help="append mirror-baseline rows")
+    p = constrained("sweep-power", run_sweep_power,
+                    "constrained optimal split across transmit powers")
+    p.add_argument("--pt-sweep", type=parse_pt_sweep, default="-30:2:10",
+                   help="transmit power range start:step:stop in dBm")
+    constrained("solve-alpha", run_solve_alpha, "single constrained power-allocation solve")
+    command("dump-channels", run_dump_channels, "per-element channel table")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        spec = ExperimentSpec(
-            command=args.command,
-            scenario_path=args.scenario,
-            out=args.out,
-            algorithm=args.algorithm,
-            seed=args.seed,
-            alpha_grid=args.alpha_grid,
-            pt_sweep=parse_pt_sweep(args.pt_sweep) if "pt_sweep" in args else (),
-            eta=args.eta,
-            gamma_bob_db=args.gamma_bob_db,
-            include_zero=args.include_zero,
-            config_path=getattr(args, "config_path", None),
-        )
-        return _RUNNERS[spec.command](spec)
+        return args.run(args)
     except (ScenarioFormatError, ValueError, OSError) as exc:
         sys.stderr.write(f"risjam: error: {exc}\n")
         return EXIT_INPUT_ERROR

@@ -94,8 +94,12 @@ class SecrecyThresholds:
     gamma_eve_max: float
 
     def __post_init__(self):
-        if self.gamma_bob_min < 0.0 or self.gamma_eve_max < 0.0:
-            raise ValueError("SINR thresholds must be non-negative")
+        # Written so that NaN fails; only Eve's cap may be infinite.
+        if not (0.0 <= self.gamma_bob_min < math.inf and self.gamma_eve_max >= 0.0):
+            raise ValueError(
+                "SINR thresholds need a finite non-negative Bob floor and a non-negative Eve cap, "
+                f"got {self.gamma_bob_min} and {self.gamma_eve_max}"
+            )
 
     @classmethod
     def from_eta(cls, gamma_bob_min: float, eta: float) -> "SecrecyThresholds":

@@ -224,7 +224,7 @@ def test_criterion_8_determinism(table, tmp_path):
                             "--alpha-grid", "201", "--pt-sweep=-20:10:10"],
             "solve-alpha": ["--seed", "4", "--eta", "0.01", "--gamma-bob-db", "2.2",
                             "--alpha-grid", "201"],
-            "dump-channels": ["--seed", "4"],
+            "dump-channels": [],
         }
         for command, extra in commands.items():
             outputs = []

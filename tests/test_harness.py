@@ -1,5 +1,7 @@
+import argparse
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ from risjam.harness import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
     EXIT_OK,
-    ExperimentSpec,
+    build_parser,
     default_scenario,
     main,
     optimized_config,
@@ -49,6 +51,36 @@ def read_rows(path):
     return header, [dict(zip(header, l.split(","))) for l in lines[2:]]
 
 
+# The flags each command reads besides --scenario and --out, and a valid value
+# for each flag (None: a switch).
+FLAGS_READ = {
+    "optimize-phases": {"--algorithm", "--seed"},
+    "sweep-alpha": {"--algorithm", "--seed", "--alpha-grid", "--config", "--include-zero"},
+    "sweep-power": {"--algorithm", "--seed", "--alpha-grid", "--config", "--eta", "--gamma-bob-db",
+                    "--pt-sweep"},
+    "solve-alpha": {"--algorithm", "--seed", "--alpha-grid", "--config", "--eta", "--gamma-bob-db"},
+    "dump-channels": set(),
+}
+FLAG_VALUES = {
+    "--algorithm": "dft", "--seed": "4", "--alpha-grid": "5", "--config": "c.config.txt",
+    "--include-zero": None, "--eta": "0.01", "--gamma-bob-db": "2.2", "--pt-sweep": "-30:2:10",
+}
+UNREAD_FLAGS = [(command, flag) for command, read in FLAGS_READ.items()
+                for flag in FLAG_VALUES if flag not in read]
+
+
+def required_flags(command):
+    return ["--eta", "0.01", "--gamma-bob-db", "2.2"] if "--eta" in FLAGS_READ[command] else []
+
+
+def readme_command_lines():
+    """Every `risjam ...` line of README's command-line block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("risjam ")]
+
+
 class TestParsePtSweep:
     def test_default_range(self):
         vals = parse_pt_sweep("-30:2:10")
@@ -59,25 +91,10 @@ class TestParsePtSweep:
         assert parse_pt_sweep("5:1:5") == (5.0,)
 
     def test_bad_forms(self):
-        for bad in ("1:2", "a:b:c", "0:-1:5", "5:1:0", "1:0:2"):
-            with pytest.raises(ValueError):
+        for bad in ("1:2", "a:b:c", "0:-1:5", "5:1:0", "1:0:2",
+                    "0:1:inf", "nan:1:5", "0:nan:5", "0:inf:5", "-inf:1:5", "-1e308:1:1e308"):
+            with pytest.raises(argparse.ArgumentTypeError):
                 parse_pt_sweep(bad)
-
-
-class TestExperimentSpec:
-    def test_missing_file_rejected(self):
-        with pytest.raises(ValueError, match="not found"):
-            ExperimentSpec(command="sweep-alpha", scenario_path="/no/such/file", out="x.csv")
-
-    def test_small_grid_rejected(self, scenario_file):
-        with pytest.raises(ValueError):
-            ExperimentSpec(command="sweep-alpha", scenario_path=scenario_file,
-                           out="x.csv", alpha_grid=1)
-
-    def test_bad_algorithm_rejected(self, scenario_file):
-        with pytest.raises(ValueError):
-            ExperimentSpec(command="sweep-alpha", scenario_path=scenario_file,
-                           out="x.csv", algorithm="anneal")
 
 
 class TestOptimizePhasesCommand:
@@ -177,6 +194,13 @@ class TestSweepAlphaCommand:
         assert rc == EXIT_INPUT_ERROR
         assert not out.exists()
 
+    def test_missing_config_file_rejected(self, tiny_scenario_file, tmp_path):
+        out = tmp_path / "ghost.csv"
+        rc = main(["sweep-alpha", "--scenario", tiny_scenario_file, "--out", str(out),
+                   "--config", str(tmp_path / "ghost.config.txt")])
+        assert rc == EXIT_INPUT_ERROR
+        assert not out.exists()
+
 
 class TestSweepPowerCommand:
     def test_rows_and_feasibility(self, scenario_file, tmp_path):
@@ -203,6 +227,16 @@ class TestSweepPowerCommand:
         rc = main(["sweep-power", "--scenario", scenario_file,
                    "--out", str(tmp_path / "x.csv"), "--eta", "0.01"])
         assert rc == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("sweep", ["0:1:inf", "nan:1:5"])
+    def test_non_finite_pt_sweep_is_input_error(self, tiny_scenario_file, tmp_path, capsys, sweep):
+        out = tmp_path / "x.csv"
+        rc = main(["sweep-power", "--scenario", tiny_scenario_file, "--out", str(out),
+                   "--eta", "0.01", "--gamma-bob-db", "2.2", f"--pt-sweep={sweep}"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT_ERROR
+        assert not out.exists()
+        assert "--pt-sweep" in err and "Traceback" not in err
 
     def test_eta_one_recovers_unconstrained_argmax(self, scenario_file, tmp_path):
         from risjam.optimize import optimize_alpha
@@ -245,6 +279,16 @@ class TestSolveAlphaCommand:
                    "--seed", "1", "--eta", "0.01", "--gamma-bob-db", "2.2"])
         assert rc == EXIT_INPUT_ERROR
         assert "bob is not in front" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eta, gamma_bob_db", [("nan", "2.2"), ("0.01", "nan"),
+                                                   ("0.01", "inf"), ("0.01", "4000")])
+    def test_non_finite_thresholds_are_input_errors(self, tiny_scenario_file, tmp_path,
+                                                    eta, gamma_bob_db):
+        out = tmp_path / "sol.csv"
+        rc = main(["solve-alpha", "--scenario", tiny_scenario_file, "--out", str(out),
+                   "--eta", eta, "--gamma-bob-db", gamma_bob_db])
+        assert rc == EXIT_INPUT_ERROR
         assert not out.exists()
 
     def test_infeasible_exit(self, scenario_file, tmp_path):
@@ -301,19 +345,46 @@ class TestCliErrors:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_INPUT_ERROR
 
-    def test_config_only_where_read(self, tiny_scenario_file, tmp_path):
-        config = tmp_path / "c.config.txt"
-        config.write_text("0,0,0,0\n")
-        rc = main(["optimize-phases", "--scenario", tiny_scenario_file,
-                   "--out", str(tmp_path / "run"), "--config", str(config)])
-        assert rc == EXIT_INPUT_ERROR
-        assert not (tmp_path / "run.trace.csv").exists()
+    def test_flag_sets(self):
+        action = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {option for a in sub._actions for option in a.option_strings}
+                 - {"-h", "--help"} for name, sub in action.choices.items()}
+        assert flags == {name: read | {"--scenario", "--out"} for name, read in FLAGS_READ.items()}
+        assert sum(len(options) for options in flags.values()) == 30
 
-    def test_pt_sweep_only_on_sweep_power(self, tiny_scenario_file, tmp_path):
-        rc = main(["solve-alpha", "--scenario", tiny_scenario_file,
-                   "--out", str(tmp_path / "sol.csv"), "--eta", "0.01",
-                   "--gamma-bob-db", "2.2", "--pt-sweep=-30:2:10"])
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS, ids=[" ".join(p) for p in UNREAD_FLAGS])
+    def test_unread_flag_rejected(self, tiny_scenario_file, tmp_path, capsys, command, flag):
+        value = FLAG_VALUES[flag]
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        rc = main([command, "--scenario", tiny_scenario_file, "--out", str(out_dir / "x"),
+                   *required_flags(command), flag if value is None else f"{flag}={value}"])
         assert rc == EXIT_INPUT_ERROR
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sweep-alpha", "sweep-power", "solve-alpha"])
+    def test_alpha_grid_below_two_rejected(self, tiny_scenario_file, tmp_path, command):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        rc = main([command, "--scenario", tiny_scenario_file, "--out", str(out_dir / "x.csv"),
+                   *required_flags(command), "--alpha-grid", "1"])
+        assert rc == EXIT_INPUT_ERROR
+        assert list(out_dir.iterdir()) == []
+
+    def test_unknown_algorithm_rejected(self, tiny_scenario_file, tmp_path):
+        rc = main(["optimize-phases", "--scenario", tiny_scenario_file,
+                   "--out", str(tmp_path / "run"), "--algorithm", "anneal"])
+        assert rc == EXIT_INPUT_ERROR
+
+    def test_readme_command_lines_parse(self):
+        lines = readme_command_lines()
+        assert {tokens[1] for tokens in lines} == set(FLAGS_READ)
+        parser = build_parser()
+        for tokens in lines:
+            assert tokens[0] == "risjam"
+            parser.parse_args(tokens[1:])
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -137,6 +137,13 @@ class TestSecrecyThresholds:
         with pytest.raises(ValueError):
             SecrecyThresholds(-1.0, 1.0)
 
+    @pytest.mark.parametrize("gamma_bob_min, gamma_eve_max", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (math.inf, math.inf),
+    ])
+    def test_nan_threshold_or_infinite_floor_rejected(self, gamma_bob_min, gamma_eve_max):
+        with pytest.raises(ValueError):
+            SecrecyThresholds(gamma_bob_min, gamma_eve_max)
+
 
 class TestBetaTerms:
     def test_alpha1_one_kills_noise_terms(self, table_scenario, table_channels):
