@@ -57,4 +57,4 @@ from .secrecy import (  # noqa: F401
     secrecy_capacity,
     sinr_values,
 )
-from .harness import default_scenario, main  # noqa: F401
+from .harness import main  # noqa: F401

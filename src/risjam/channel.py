@@ -18,6 +18,7 @@ import numpy as np
 from . import _kernels as kernels
 from .scene import (
     ISOTROPIC,
+    PANEL_NORMAL,
     SPEED_OF_LIGHT,
     AntennaPattern,
     DegenerateGeometryError,
@@ -188,7 +189,7 @@ def build_channel_set(sc: ScenarioConfig) -> ChannelSet:
     normal on both hops; receivers are isotropic.
     """
     elements = sc.elements
-    normal = np.asarray(sc.ris.normal, dtype=float)
+    normal = np.asarray(PANEL_NORMAL)
     bob_idx, eve_idx = partition_split(sc.ris)
     aim_cs = np.mean(elements[list(bob_idx)], axis=0) - sc.cs_tx.as_array()
     aim_an = np.mean(elements[list(eve_idx)], axis=0) - sc.an_tx.as_array()

@@ -25,9 +25,6 @@ from .optimize import (
 )
 from .ris import PhaseConfig, binary_dft_codebook, load_phase_config, save_phase_config, set_partition, zero_config
 from .scene import (
-    Position3D,
-    AntennaPattern,
-    RisGeometry,
     ScenarioConfig,
     ScenarioFormatError,
     load_scenario,
@@ -55,23 +52,9 @@ EXIT_INFEASIBLE = 2
 
 DEFAULT_SEED = 1
 
-
-def default_scenario() -> ScenarioConfig:
-    """The bundled desk-scale scenario (3.75 GHz, 256-element panel)."""
-    return ScenarioConfig(
-        fc_hz=3.75e9,
-        fs_hz=0.5e6,
-        pt_dbm=-9.0,
-        noise_bob_dbm=-90.0,
-        noise_eve_dbm=-90.0,
-        cs_tx=Position3D(0.74, 0.31, 0.0),
-        an_tx=Position3D(0.74, -0.31, 0.0),
-        bob=Position3D(1.19, 1.41, 0.0),
-        eve=Position3D(1.19, -1.41, 0.0),
-        ris=RisGeometry(rows=16, cols=16, spacing=0.041, center=Position3D(0.0, 0.0, 0.4)),
-        tx_pattern=AntennaPattern(kind="cosine", boresight_gain_dbi=13.0),
-        ris_element_pattern=AntennaPattern(kind="cosine"),
-    )
+# Most transmit powers one sweep-power run solves (~1 ms each at 16x16): a
+# mistyped step that asks for millions is rejected before the list is built.
+MAX_PT_SWEEP_POINTS = 10_001
 
 
 def optimized_config(
@@ -247,6 +230,9 @@ def parse_pt_sweep(text: str) -> tuple[float, ...]:
     if stop < start:
         raise argparse.ArgumentTypeError(f"stop must not be below start, got {text!r}")
     count = int(math.floor(span + 1e-9)) + 1
+    if count > MAX_PT_SWEEP_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has {count:.15g} points, more than {MAX_PT_SWEEP_POINTS}")
     return tuple(start + k * step for k in range(count))
 
 

@@ -11,29 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-_SCENARIO_KEYS = (
-    "fc_hz",
-    "fs_hz",
-    "pt_dbm",
-    "noise_bob_dbm",
-    "noise_eve_dbm",
-    "cs_tx",
-    "an_tx",
-    "bob",
-    "eve",
-    "ris_rows",
-    "ris_cols",
-    "ris_spacing_m",
-    "ris_center",
-    "tx_gain_dbi",
-    "pattern_kind",
-)
+#: Unit normal of every RIS surface plane: the panel faces +x, its columns run
+#: along +y and its rows along z.
+PANEL_NORMAL = (1.0, 0.0, 0.0)
 
 
 class DegenerateGeometryError(ValueError):
@@ -75,17 +61,12 @@ def distance(a: Position3D, b: Position3D) -> float:
 
 @dataclass(frozen=True)
 class RisGeometry:
-    """Centered uniform rectangular RIS lattice.
-
-    `normal` is the unit normal of the surface plane (the side facing the
-    transmitters); element positions span the plane orthogonal to it.
-    """
+    """Centered uniform rectangular RIS lattice in a plane facing PANEL_NORMAL."""
 
     rows: int
     cols: int
     spacing: float
     center: Position3D
-    normal: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -94,11 +75,6 @@ class RisGeometry:
             raise ValueError("element count must be even (two equal partitions)")
         if not 0.0 < self.spacing < math.inf:
             raise ValueError("spacing must be positive and finite")
-        n = np.asarray(self.normal, dtype=float)
-        nn = np.linalg.norm(n)
-        if not nn > 0.0 or not np.all(np.isfinite(n)):
-            raise ValueError("normal must be a nonzero finite vector")
-        object.__setattr__(self, "normal", tuple(n / nn))
 
     @property
     def n_elements(self) -> int:
@@ -125,10 +101,10 @@ def element_positions(g: RisGeometry) -> np.ndarray:
     """(N, 3) element centers in canonical row-major order (top row first).
 
     The lattice is centered on g.center; column index increases along the
-    in-plane horizontal axis, so for the default +x normal the first cols/2
-    columns sit at negative y (Eve's side) and the rest at positive y.
+    in-plane horizontal axis, so the first cols/2 columns sit at negative y
+    (Eve's side) and the rest at positive y.
     """
-    u, v = _plane_basis(np.asarray(g.normal, dtype=float))
+    u, v = _plane_basis(np.asarray(PANEL_NORMAL))
     row_off = ((g.rows - 1) / 2.0 - np.arange(g.rows)) * g.spacing
     col_off = (np.arange(g.cols) - (g.cols - 1) / 2.0) * g.spacing
     pos = g.center.as_array() + col_off[None, :, None] * u + row_off[:, None, None] * v
@@ -138,9 +114,9 @@ def element_positions(g: RisGeometry) -> np.ndarray:
 def partition_split(g: RisGeometry) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(bob_indices, eve_indices) of the vertical half-panel split.
 
-    Eve's partition is the low-column half (negative-y side for the default
-    orientation, matching an eavesdropper placed at negative y); Bob's is the
-    high-column half. Indices refer to the canonical row-major element order.
+    Eve's partition is the low-column half (negative-y side, matching an
+    eavesdropper placed at negative y); Bob's is the high-column half.
+    Indices refer to the canonical row-major element order.
     """
     if g.cols % 2 != 0:
         raise ValueError("vertical split requires an even column count")
@@ -166,7 +142,7 @@ class AntennaPattern:
 
     def __post_init__(self):
         if self.kind not in ("cosine", "isotropic"):
-            raise ValueError(f"unknown pattern kind {self.kind!r}")
+            raise ValueError(f"pattern kind must be 'cosine' or 'isotropic', got {self.kind!r}")
         if self.az_exponent < 0 or self.el_exponent < 0:
             raise ValueError("pattern exponents must be non-negative")
 
@@ -239,10 +215,13 @@ def fspl(d: float, fc: float) -> float:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full physical description of the link.
+    """Full physical description of the link: one field per scenario-file key, in file order.
 
     fs_hz is carried as metadata only (capacity math is per Hz); pt_dbm is the
     total transmit power shared by the communication and noise signals.
+    pattern_kind shapes both transmit antennas (boresight gain tx_gain_dbi) and
+    the RIS elements. The lattice, both patterns and the read-only (N, 3)
+    element centers are derived from the fields once, on construction.
     """
 
     fc_hz: float
@@ -254,41 +233,50 @@ class ScenarioConfig:
     an_tx: Position3D
     bob: Position3D
     eve: Position3D
-    ris: RisGeometry
-    tx_pattern: AntennaPattern
-    ris_element_pattern: AntennaPattern
-    _elements: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    ris_rows: int
+    ris_cols: int
+    ris_spacing_m: float
+    ris_center: Position3D
+    tx_gain_dbi: float
+    pattern_kind: str
+    ris: RisGeometry = field(init=False, repr=False, compare=False)
+    tx_pattern: AntennaPattern = field(init=False, repr=False, compare=False)
+    ris_element_pattern: AntennaPattern = field(init=False, repr=False, compare=False)
+    elements: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.fc_hz > 0.0:
             raise ValueError("carrier frequency must be positive")
-        for name in ("pt_dbm", "noise_bob_dbm", "noise_eve_dbm", "fs_hz"):
+        for name in ("pt_dbm", "noise_bob_dbm", "noise_eve_dbm", "fs_hz", "tx_gain_dbi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        elems = element_positions(self.ris)
+        ris = RisGeometry(self.ris_rows, self.ris_cols, self.ris_spacing_m, self.ris_center)
+        object.__setattr__(self, "ris", ris)
+        object.__setattr__(self, "tx_pattern",
+                           AntennaPattern(self.pattern_kind, boresight_gain_dbi=self.tx_gain_dbi))
+        object.__setattr__(self, "ris_element_pattern", AntennaPattern(self.pattern_kind))
+        elems = element_positions(ris)
         if not np.all(np.isfinite(elems)):
             raise ValueError("RIS element coordinates must be finite")
-        center, normal = self.ris.center.as_array(), np.asarray(self.ris.normal)
+        center, wavelength = ris.center.as_array(), SPEED_OF_LIGHT / self.fc_hz
         for node_name in ("cs_tx", "an_tx", "bob", "eve"):
             node = getattr(self, node_name).as_array()
             # The surface reflects into the half-space it faces; behind it the
             # cosine element pattern is zero, so the couplings would vanish
             # without a reason given.
-            if not float(np.dot(node - center, normal)) > 0.0:
+            if not float(np.dot(node - center, PANEL_NORMAL)) > 0.0:
                 raise DegenerateGeometryError(
                     f"{node_name} is not in front of the RIS surface plane"
                 )
-            if np.min(np.linalg.norm(elems - node, axis=1)) < 1e-9:
+            # Inside one wavelength of an element the free-space hop model
+            # stops holding: at lambda/(4 pi) its path "loss" reaches 1.
+            if np.min(np.linalg.norm(elems - node, axis=1)) < wavelength:
                 raise DegenerateGeometryError(
-                    f"{node_name} coincides with an RIS element position"
+                    f"{node_name} is within one wavelength ({wavelength:.3g} m) "
+                    "of an RIS element, in its near field"
                 )
         elems.setflags(write=False)
-        object.__setattr__(self, "_elements", elems)
-
-    @property
-    def elements(self) -> np.ndarray:
-        """(N, 3) read-only element centers, canonical order."""
-        return self._elements
+        object.__setattr__(self, "elements", elems)
 
     @property
     def pt_watts(self) -> float:
@@ -303,14 +291,35 @@ class ScenarioConfig:
         return dbm_to_watts(self.noise_eve_dbm)
 
 
-def _parse_triple(value: str, key: str) -> Position3D:
-    parts = [p.strip() for p in value.split(",")]
+def _parse_count(value: str) -> int:
+    v = float(value)
+    if not v.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(v)
+
+
+def _parse_triple(value: str) -> Position3D:
+    parts = value.split(",")
     if len(parts) != 3:
-        raise ScenarioFormatError(f"key {key!r} expects 'x, y, z', got {value!r}")
-    try:
-        return Position3D(*(float(p) for p in parts))
-    except ValueError as exc:
-        raise ScenarioFormatError(f"key {key!r}: {exc}") from exc
+        raise ValueError(f"expected 'x, y, z', got {value!r}")
+    return Position3D(*(float(p) for p in parts))
+
+
+def _format_triple(p: Position3D) -> str:
+    return f"{p.x!r}, {p.y!r}, {p.z!r}"
+
+
+# (parse, format) of a value's text, by the type name a ScenarioConfig field
+# declares (annotations are strings under `from __future__ import annotations`).
+_CODECS = {
+    "float": (float, repr),
+    "int": (_parse_count, str),
+    "str": (str, str),
+    "Position3D": (_parse_triple, _format_triple),
+}
+
+# One per scenario-file key, in file order.
+_FILE_FIELDS = tuple(f for f in fields(ScenarioConfig) if f.init)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -320,6 +329,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     the schema exactly or is rejected.
     """
     values: dict[str, str] = {}
+    names = [f.name for f in _FILE_FIELDS]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -327,54 +337,24 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if "=" not in line:
             raise ScenarioFormatError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _SCENARIO_KEYS:
+        if key not in names:
             raise ScenarioFormatError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ScenarioFormatError(f"line {lineno}: duplicate key {key!r}")
         values[key] = value
-    missing = [k for k in _SCENARIO_KEYS if k not in values]
+    missing = [k for k in names if k not in values]
     if missing:
         raise ScenarioFormatError(f"missing keys: {', '.join(missing)}")
-
-    def num(key: str) -> float:
+    kwargs = {}
+    for f in _FILE_FIELDS:
+        parse, _ = _CODECS[f.type]
         try:
-            return float(values[key])
+            kwargs[f.name] = parse(values[f.name])
         except ValueError as exc:
-            raise ScenarioFormatError(f"key {key!r}: not a number: {values[key]!r}") from exc
-
-    def count(key: str) -> int:
-        v = num(key)
-        if v != int(v):
-            raise ScenarioFormatError(f"key {key!r}: expected an integer, got {values[key]!r}")
-        return int(v)
-
-    kind = values["pattern_kind"]
-    if kind not in ("cosine", "isotropic"):
-        raise ScenarioFormatError(f"pattern_kind must be 'cosine' or 'isotropic', got {kind!r}")
+            raise ScenarioFormatError(f"key {f.name!r}: {exc}") from exc
     try:
-        ris = RisGeometry(
-            rows=count("ris_rows"),
-            cols=count("ris_cols"),
-            spacing=num("ris_spacing_m"),
-            center=_parse_triple(values["ris_center"], "ris_center"),
-        )
-        return ScenarioConfig(
-            fc_hz=num("fc_hz"),
-            fs_hz=num("fs_hz"),
-            pt_dbm=num("pt_dbm"),
-            noise_bob_dbm=num("noise_bob_dbm"),
-            noise_eve_dbm=num("noise_eve_dbm"),
-            cs_tx=_parse_triple(values["cs_tx"], "cs_tx"),
-            an_tx=_parse_triple(values["an_tx"], "an_tx"),
-            bob=_parse_triple(values["bob"], "bob"),
-            eve=_parse_triple(values["eve"], "eve"),
-            ris=ris,
-            tx_pattern=AntennaPattern(kind=kind, boresight_gain_dbi=num("tx_gain_dbi")),
-            ris_element_pattern=AntennaPattern(kind=kind),
-        )
-    except (ValueError, DegenerateGeometryError) as exc:
-        if isinstance(exc, ScenarioFormatError):
-            raise
+        return ScenarioConfig(**kwargs)
+    except ValueError as exc:
         raise ScenarioFormatError(str(exc)) from exc
 
 
@@ -385,28 +365,9 @@ def load_scenario(path) -> ScenarioConfig:
 
 def format_scenario(sc: ScenarioConfig) -> str:
     """Canonical text form of a scenario (parse/format round-trips)."""
-
-    def triple(p: Position3D) -> str:
-        return f"{p.x!r}, {p.y!r}, {p.z!r}"
-
-    lines = [
-        f"fc_hz = {sc.fc_hz!r}",
-        f"fs_hz = {sc.fs_hz!r}",
-        f"pt_dbm = {sc.pt_dbm!r}",
-        f"noise_bob_dbm = {sc.noise_bob_dbm!r}",
-        f"noise_eve_dbm = {sc.noise_eve_dbm!r}",
-        f"cs_tx = {triple(sc.cs_tx)}",
-        f"an_tx = {triple(sc.an_tx)}",
-        f"bob = {triple(sc.bob)}",
-        f"eve = {triple(sc.eve)}",
-        f"ris_rows = {sc.ris.rows}",
-        f"ris_cols = {sc.ris.cols}",
-        f"ris_spacing_m = {sc.ris.spacing!r}",
-        f"ris_center = {triple(sc.ris.center)}",
-        f"tx_gain_dbi = {sc.tx_pattern.boresight_gain_dbi!r}",
-        f"pattern_kind = {sc.tx_pattern.kind}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{f.name} = {_CODECS[f.type][1](getattr(sc, f.name))}\n" for f in _FILE_FIELDS
+    )
 
 
 def save_scenario(sc: ScenarioConfig, path) -> None:

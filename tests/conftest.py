@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from risjam.channel import build_channel_set
-from risjam.harness import default_scenario
-from risjam.scene import AntennaPattern, Position3D, RisGeometry, ScenarioConfig
+from risjam.scene import Position3D, ScenarioConfig, load_scenario
+
+#: The bundled desk-scale scenario that the README commands run on.
+DEFAULT_SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "default.scn"
 
 # Every property test draws the same examples on every run.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
@@ -13,7 +17,7 @@ settings.load_profile("deterministic")
 
 @pytest.fixture(scope="session")
 def table_scenario():
-    return default_scenario()
+    return load_scenario(DEFAULT_SCENARIO)
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +45,10 @@ def make_random_scenario(rng: np.random.Generator, rows: int = 4, cols: int = 4)
         an_tx=node(-1.0),
         bob=node(+1.0),
         eve=node(-1.0),
-        ris=RisGeometry(rows=rows, cols=cols, spacing=0.041, center=Position3D(0.0, 0.0, 0.0)),
-        tx_pattern=AntennaPattern(kind="cosine", boresight_gain_dbi=13.0),
-        ris_element_pattern=AntennaPattern(kind="cosine"),
+        ris_rows=rows,
+        ris_cols=cols,
+        ris_spacing_m=0.041,
+        ris_center=Position3D(0.0, 0.0, 0.0),
+        tx_gain_dbi=13.0,
+        pattern_kind="cosine",
     )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from risjam.channel import build_channel_set, cascaded_gain, cascaded_path
-from risjam.harness import default_scenario, main, optimized_config
+from risjam.harness import main, optimized_config
 from risjam.optimize import (
     an_power_at_eve,
     capacity_ratio_alpha,
@@ -25,7 +25,7 @@ from risjam.optimize import (
     optimize_alpha,
 )
 from risjam.ris import binary_dft_codebook, zero_config
-from risjam.scene import save_scenario
+from risjam.scene import load_scenario, save_scenario
 from risjam.secrecy import (
     LinkPowers,
     PowerSplit,
@@ -35,7 +35,7 @@ from risjam.secrecy import (
     sinr_values,
 )
 
-from conftest import make_random_scenario
+from conftest import DEFAULT_SCENARIO, make_random_scenario
 
 
 @contextmanager
@@ -50,7 +50,7 @@ def criterion(name: str):
 
 @pytest.fixture(scope="module")
 def table():
-    sc = default_scenario()
+    sc = load_scenario(DEFAULT_SCENARIO)
     return sc, build_channel_set(sc)
 
 

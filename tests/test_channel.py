@@ -192,19 +192,18 @@ class TestBuildChannelSet:
         assert ch.amplitudes("b") == pytest.approx(ch.amplitudes("e")[m], rel=1e-12)
         assert ch.phases("s") == pytest.approx(ch.phases("a")[m], rel=1e-9, abs=1e-9)
 
-    def test_mirroring_an_asymmetric_scenario(self):
+    def test_mirroring_an_asymmetric_scenario(self, table_scenario):
         # mirroring a scenario across y swaps the CS/AN and Bob/Eve roles and
         # reflects the panel columns; the channel sets must map onto each other
         from dataclasses import replace
 
-        from risjam.harness import default_scenario
         from risjam.scene import Position3D as P
 
         def flip(p):
             return P(p.x, -p.y, p.z)
 
         sc = replace(
-            default_scenario(),
+            table_scenario,
             cs_tx=P(0.74, 0.36, 0.05),
             an_tx=P(0.70, -0.22, -0.04),
             bob=P(1.19, 1.10, 0.11),
@@ -218,14 +217,14 @@ class TestBuildChannelSet:
             assert a.amplitudes(name) == pytest.approx(b.amplitudes(twin)[m], rel=1e-12)
 
     def test_two_element_mirror_toy(self):
-        from risjam.scene import RisGeometry, ScenarioConfig
+        from risjam.scene import ScenarioConfig
 
         sc = ScenarioConfig(
             fc_hz=FC, fs_hz=1.0, pt_dbm=0.0, noise_bob_dbm=-90.0, noise_eve_dbm=-90.0,
             cs_tx=Position3D(0.7, 0.2, 0.0), an_tx=Position3D(0.7, -0.2, 0.0),
             bob=Position3D(1.0, 1.0, 0.0), eve=Position3D(1.0, -1.0, 0.0),
-            ris=RisGeometry(rows=1, cols=2, spacing=0.041, center=Position3D(0, 0, 0)),
-            tx_pattern=ISOTROPIC, ris_element_pattern=ISOTROPIC,
+            ris_rows=1, ris_cols=2, ris_spacing_m=0.041, ris_center=Position3D(0, 0, 0),
+            tx_gain_dbi=0.0, pattern_kind="isotropic",
         )
         ch = build_channel_set(sc)
         s, a, b, e = (ch.amplitudes(name) for name in ("s", "a", "b", "e"))

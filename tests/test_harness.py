@@ -13,31 +13,30 @@ from risjam.harness import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    MAX_PT_SWEEP_POINTS,
     build_parser,
-    default_scenario,
     main,
     optimized_config,
     parse_pt_sweep,
 )
 from risjam.channel import build_channel_set
 from risjam.ris import load_phase_config
-from risjam.scene import load_scenario, save_scenario, RisGeometry, Position3D
+from risjam.scene import load_scenario, save_scenario
 from dataclasses import replace
+
+from conftest import DEFAULT_SCENARIO
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
-def scenario_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("scn") / "default.scn"
-    save_scenario(default_scenario(), path)
-    return str(path)
+def scenario_file():
+    return str(DEFAULT_SCENARIO)
 
 
 @pytest.fixture(scope="module")
 def tiny_scenario_file(tmp_path_factory):
-    sc = replace(
-        default_scenario(),
-        ris=RisGeometry(rows=2, cols=2, spacing=0.041, center=Position3D(0.0, 0.0, 0.4)),
-    )
+    sc = replace(load_scenario(DEFAULT_SCENARIO), ris_rows=2, ris_cols=2)
     path = tmp_path_factory.mktemp("scn") / "tiny.scn"
     save_scenario(sc, path)
     return str(path)
@@ -73,9 +72,15 @@ def required_flags(command):
     return ["--eta", "0.01", "--gamma-bob-db", "2.2"] if "--eta" in FLAGS_READ[command] else []
 
 
+def src_env():
+    """The environment with the repository's src/ first on PYTHONPATH."""
+    src = str(ROOT / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def readme_command_lines():
     """Every `risjam ...` line of README's command-line block, continuations joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = (ROOT / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
             if line.startswith("risjam ")]
@@ -92,9 +97,16 @@ class TestParsePtSweep:
 
     def test_bad_forms(self):
         for bad in ("1:2", "a:b:c", "0:-1:5", "5:1:0", "1:0:2",
-                    "0:1:inf", "nan:1:5", "0:nan:5", "0:inf:5", "-inf:1:5", "-1e308:1:1e308"):
+                    "0:1:inf", "nan:1:5", "0:nan:5", "0:inf:5", "-inf:1:5", "-1e308:1:1e308",
+                    "0:1e-6:1", "0:1e-300:1"):
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_pt_sweep(bad)
+
+    def test_point_cap(self):
+        last = MAX_PT_SWEEP_POINTS - 1
+        assert len(parse_pt_sweep(f"0:1:{last}")) == MAX_PT_SWEEP_POINTS
+        with pytest.raises(argparse.ArgumentTypeError, match=f"{MAX_PT_SWEEP_POINTS + 1} points"):
+            parse_pt_sweep(f"0:1:{last + 1}")
 
 
 class TestOptimizePhasesCommand:
@@ -238,6 +250,15 @@ class TestSweepPowerCommand:
         assert not out.exists()
         assert "--pt-sweep" in err and "Traceback" not in err
 
+    def test_too_many_pt_sweep_points_is_input_error(self, tiny_scenario_file, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["sweep-power", "--scenario", tiny_scenario_file, "--out", str(out),
+                   "--eta", "0.01", "--gamma-bob-db", "2.2", "--pt-sweep=0:1e-6:1"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT_ERROR
+        assert not out.exists()
+        assert "--pt-sweep" in err and "1000001 points" in err
+
     def test_eta_one_recovers_unconstrained_argmax(self, scenario_file, tmp_path):
         from risjam.optimize import optimize_alpha
         from risjam.secrecy import SecrecyThresholds
@@ -315,12 +336,10 @@ class TestDumpChannelsCommand:
 
 class TestCliErrors:
     def test_python_m_risjam(self, scenario_file, tmp_path):
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "channels.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "risjam", "dump-channels", "--scenario", scenario_file, "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=src_env(), capture_output=True, text=True, timeout=120,
         )
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         assert out.read_text().count("\n") == 258
@@ -337,6 +356,18 @@ class TestCliErrors:
         rc = main(["sweep-alpha", "--scenario", str(tmp_path / "ghost.scn"),
                    "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_INPUT_ERROR
+
+    def test_one_hertz_carrier_is_input_error(self, tmp_path, capsys):
+        # lambda = 300 000 km puts every node in an element's near field
+        text = DEFAULT_SCENARIO.read_text()
+        assert "\nfc_hz = 3750000000.0\n" in text
+        scn = tmp_path / "one-hertz.scn"
+        scn.write_text(text.replace("\nfc_hz = 3750000000.0\n", "\nfc_hz = 1\n"))
+        out = tmp_path / "chan.csv"
+        rc = main(["dump-channels", "--scenario", str(scn), "--out", str(out)])
+        assert rc == EXIT_INPUT_ERROR
+        assert "cs_tx is within one wavelength" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_scenario_file(self, tmp_path):
         bad = tmp_path / "bad.scn"
@@ -385,6 +416,15 @@ class TestCliErrors:
         for tokens in lines:
             assert tokens[0] == "risjam"
             parser.parse_args(tokens[1:])
+
+    def test_readme_quick_tour_runs(self):
+        blocks = (ROOT / "README.md").read_text().split("```python\n")[1:]
+        assert len(blocks) == 1
+        proc = subprocess.run([sys.executable, "-c", blocks[0].split("```", 1)[0]], cwd=ROOT,
+                              env=src_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        values = [float(v) for v in proc.stdout.split()]
+        assert len(values) == 3 and all(map(math.isfinite, values))
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

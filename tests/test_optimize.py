@@ -222,12 +222,7 @@ class TestExhaustiveSearch:
         # one larger partition: exhaustive over 2^12 configs bounds both methods
         from dataclasses import replace
 
-        from risjam.scene import Position3D, RisGeometry
-
-        sc = replace(
-            table_scenario,
-            ris=RisGeometry(rows=2, cols=12, spacing=0.041, center=Position3D(0, 0, 0.4)),
-        )
+        sc = replace(table_scenario, ris_rows=2, ris_cols=12)
         ch = build_channel_set(sc)
         oracle = cs_power_at_bob(sc, ch)
         base = zero_config(24)

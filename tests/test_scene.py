@@ -1,13 +1,17 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risjam.scene import (
     AntennaPattern,
     DegenerateGeometryError,
     Position3D,
     RisGeometry,
+    ScenarioConfig,
     ScenarioFormatError,
     dbm_to_watts,
     distance,
@@ -22,6 +26,42 @@ from risjam.scene import (
 )
 
 C = 299_792_458.0
+
+FILE_KEYS = [f.name for f in fields(ScenarioConfig) if f.init]
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios: any panel shape with an even element count, nodes in front.
+
+    Carriers from 1 GHz keep lambda under 0.3 m, and every node sits at least
+    0.31 m in front of the panel plane, so no node is in an element's near field.
+    """
+    coord = st.floats(-10.0, 10.0)
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6).filter(lambda c: rows * c % 2 == 0))
+    center = Position3D(draw(coord), draw(coord), draw(coord))
+
+    def node():
+        return Position3D(center.x + draw(st.floats(0.31, 5.0)), draw(coord), draw(coord))
+
+    return ScenarioConfig(
+        fc_hz=draw(st.floats(1e9, 1e11)),
+        fs_hz=draw(st.floats(1.0, 1e9)),
+        pt_dbm=draw(st.floats(-100.0, 60.0)),
+        noise_bob_dbm=draw(st.floats(-150.0, 0.0)),
+        noise_eve_dbm=draw(st.floats(-150.0, 0.0)),
+        cs_tx=node(),
+        an_tx=node(),
+        bob=node(),
+        eve=node(),
+        ris_rows=rows,
+        ris_cols=cols,
+        ris_spacing_m=draw(st.floats(1e-3, 0.2)),
+        ris_center=center,
+        tx_gain_dbi=draw(st.floats(-20.0, 30.0)),
+        pattern_kind=draw(st.sampled_from(["cosine", "isotropic"])),
+    )
 
 
 class TestElementPositions:
@@ -81,8 +121,18 @@ class TestScenarioValidation:
         x, y, z = table_scenario.elements[17].tolist()
         corner = Position3D(x + 1e-11, y, z)
         for node in ("cs_tx", "an_tx", "bob", "eve"):
-            with pytest.raises(DegenerateGeometryError, match=f"{node} coincides"):
+            with pytest.raises(DegenerateGeometryError, match=f"{node} is within one wavelength"):
                 replace(table_scenario, **{node: corner})
+
+    @pytest.mark.parametrize("node", ["cs_tx", "an_tx", "bob", "eve"])
+    def test_node_inside_one_wavelength_rejected(self, table_scenario, node):
+        from dataclasses import replace
+
+        lam = C / table_scenario.fc_hz
+        x, y, z = table_scenario.elements[17].tolist()
+        with pytest.raises(DegenerateGeometryError, match=f"{node} is within one wavelength"):
+            replace(table_scenario, **{node: Position3D(x + 0.5 * lam, y, z)})
+        replace(table_scenario, **{node: Position3D(x + 1.01 * lam, y, z)})
 
     @pytest.mark.parametrize("node", ["cs_tx", "an_tx", "bob", "eve"])
     def test_node_behind_or_on_the_panel_plane_rejected(self, table_scenario, node):
@@ -96,6 +146,11 @@ class TestScenarioValidation:
     def test_non_finite_lattice_rejected(self, table_scenario):
         text = format_scenario(table_scenario).replace("ris_spacing_m = 0.041", "ris_spacing_m = inf")
         with pytest.raises(ScenarioFormatError, match="finite"):
+            parse_scenario(text)
+
+    def test_infinite_tx_gain_rejected(self, table_scenario):
+        text = format_scenario(table_scenario).replace("tx_gain_dbi = 13.0", "tx_gain_dbi = inf")
+        with pytest.raises(ScenarioFormatError, match="tx_gain_dbi must be finite"):
             parse_scenario(text)
 
     def test_elements_are_the_read_only_lattice(self, table_scenario):
@@ -204,6 +259,21 @@ class TestPowerConversions:
 
 
 class TestScenarioFormat:
+    def test_fields_are_the_file_keys(self):
+        from conftest import DEFAULT_SCENARIO
+
+        lines = (l.split("#", 1)[0] for l in DEFAULT_SCENARIO.read_text().splitlines())
+        assert [l.split("=", 1)[0].strip() for l in lines if l.strip()] == FILE_KEYS
+
+    @settings(max_examples=200)
+    @given(scenarios())
+    def test_format_parse_round_trip(self, sc):
+        text = format_scenario(sc)
+        assert [line.split(" = ", 1)[0] for line in text.splitlines()] == FILE_KEYS
+        again = parse_scenario(text)
+        assert again == sc
+        assert format_scenario(again) == text
+
     def test_round_trip(self, table_scenario):
         text = format_scenario(table_scenario)
         again = parse_scenario(text)
@@ -239,7 +309,7 @@ class TestScenarioFormat:
 
     def test_bad_pattern_kind_rejected(self, table_scenario):
         text = format_scenario(table_scenario).replace("= cosine", "= parabolic")
-        with pytest.raises(ScenarioFormatError):
+        with pytest.raises(ScenarioFormatError, match="pattern kind must be"):
             parse_scenario(text)
 
     def test_non_integer_grid_rejected(self, table_scenario):
