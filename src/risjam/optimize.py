@@ -88,10 +88,11 @@ class ReceivedPowerOracle:
         self._powers = [0.0, 0.0]  # each partition's power at _last
         self._terms = [None, None]  # each partition's terms at _last, once built
         self._tables = [None, None]  # each partition's (theta=0, theta=pi) terms
-        self._part = np.full(self._n, -1)  # each element's partition, -1 for neither
-        self._pos = np.zeros(self._n, dtype=np.intp)  # and its position in it
+        self._part = [-1] * self._n  # each element's partition, -1 for neither
+        self._pos = [0] * self._n  # and its position in it
         for k, (path, _) in enumerate(self._parts):
-            self._part[path.indices], self._pos[path.indices] = k, np.arange(len(path.indices))
+            for i, e in enumerate(path.indices.tolist()):
+                self._part[e], self._pos[e] = k, i
 
     def __call__(self, phases: np.ndarray) -> float:
         if np.shape(phases) != (self._n,):
@@ -99,7 +100,7 @@ class ReceivedPowerOracle:
         self.calls += 1
         if self._last is not None:
             changed = phases != self._last
-            if np.count_nonzero(changed) <= 2 and self._flip(phases, np.flatnonzero(changed)):
+            if np.count_nonzero(changed) <= 2 and self._flip(phases, changed.nonzero()[0].tolist()):
                 return 0.0 + self._powers[0] + self._powers[1]
         for k, (path, scale) in enumerate(self._parts):
             g = kernels.coherent_sum(path.amplitude, path.phase, phases[path.indices])
@@ -108,7 +109,7 @@ class ReceivedPowerOracle:
         self._terms = [None, None]
         return 0.0 + self._powers[0] + self._powers[1]
 
-    def _flip(self, phases: np.ndarray, elems: np.ndarray) -> bool:
+    def _flip(self, phases: np.ndarray, elems: list[int]) -> bool:
         """Move to `phases`, which differs from the last vector at `elems`, from the tables.
 
         Only the partitions that hold a changed element are re-summed. Returns
@@ -116,27 +117,32 @@ class ReceivedPowerOracle:
         when a partition without a term array at the last vector (as after a
         full measurement) is not binary at `phases`.
         """
-        if not _is_binary(phases[elems]):
-            return False
-        part, pos = self._part, self._pos
-        touched = set(part[elems].tolist()) - {-1}
-        stale = {k for k in touched if self._terms[k] is None}
-        if not all(_is_binary(phases[self._parts[k][0].indices]) for k in stale):
-            return False
+        values = [phases.item(e) for e in elems]
+        for v in values:
+            if v != 0.0 and v != PI:
+                return False
+        parts = [self._part[e] for e in elems]
+        touched = [k for k in (0, 1) if k in parts]
+        for k in touched:
+            if self._terms[k] is None and not _is_binary(phases[self._parts[k][0].indices]):
+                return False
         for k in touched:
             path, scale = self._parts[k]
             if self._tables[k] is None:
                 self._tables[k] = [path.amplitude * np.exp(-1j * (path.phase + t)) for t in (0.0, PI)]
             t0, tpi = self._tables[k]
-            if k in stale:
-                self._terms[k] = np.where(phases[path.indices] == PI, tpi, t0)
+            terms = self._terms[k]
+            if terms is None:
+                terms = self._terms[k] = np.where(phases[path.indices] == PI, tpi, t0)
             else:
-                for e in elems[part[elems] == k].tolist():
-                    i = pos[e]
-                    self._terms[k][i] = tpi[i] if phases[e] == PI else t0[i]
-            g = complex(np.sum(self._terms[k]))
+                for e, part, v in zip(elems, parts, values):
+                    if part == k:
+                        i = self._pos[e]
+                        terms[i] = tpi[i] if v == PI else t0[i]
+            g = complex(np.add.reduce(terms))
             self._powers[k] = scale * (g.real * g.real + g.imag * g.imag)
-        self._last[elems] = phases[elems]
+        for e, v in zip(elems, values):
+            self._last[e] = v
         return True
 
 
@@ -156,7 +162,12 @@ def an_power_at_eve(sc: ScenarioConfig, ch: ChannelSet) -> ReceivedPowerOracle:
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One optimizer trial: measured power and the running best."""
+    """One optimizer trial: a recorded power and the running best.
+
+    dft_sweep records each codeword's measured power in power_w.
+    iterative_optimize records the incumbent, so power_w equals best_power_w
+    and a rejected flip's measured power is not kept.
+    """
 
     trial: int
     power_w: float
@@ -182,8 +193,8 @@ def iterative_optimize(
     phases = np.array(cfg.phases)
     best = float(oracle(phases))
     trace: list[TraceEntry] = []
-    for trial, j in enumerate(rng.permutation(len(indices)), start=1):
-        elem = indices[int(j)]
+    visits = np.asarray(indices, dtype=np.intp)[rng.permutation(len(indices))].tolist()
+    for trial, elem in enumerate(visits, start=1):
         kept = phases[elem]
         phases[elem] = PI if kept == 0.0 else 0.0
         p = float(oracle(phases))

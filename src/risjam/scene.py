@@ -245,8 +245,8 @@ class ScenarioConfig:
     elements: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.fc_hz > 0.0:
-            raise ValueError("carrier frequency must be positive")
+        if not 0.0 < self.fc_hz < math.inf:
+            raise ValueError(f"fc_hz must be positive and finite, got {self.fc_hz!r}")
         for name in ("pt_dbm", "noise_bob_dbm", "noise_eve_dbm", "fs_hz", "tx_gain_dbi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -255,6 +255,18 @@ class ScenarioConfig:
         object.__setattr__(self, "tx_pattern",
                            AntennaPattern(self.pattern_kind, boresight_gain_dbi=self.tx_gain_dbi))
         object.__setattr__(self, "ris_element_pattern", AntennaPattern(self.pattern_kind))
+        # 10 ** (x / 10) overflows for x above ~3083 and is 0 for x below ~-3237,
+        # with x the gain in dBi or the power in dBm minus 30.
+        for key, owner, linear in (("pt_dbm", self, "pt_watts"),
+                                   ("noise_bob_dbm", self, "noise_bob_watts"),
+                                   ("noise_eve_dbm", self, "noise_eve_watts"),
+                                   ("tx_gain_dbi", self.tx_pattern, "boresight_linear")):
+            try:
+                value = getattr(owner, linear)
+            except OverflowError:
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{key} = {getattr(self, key)!r} has no finite positive linear value")
         elems = element_positions(ris)
         if not np.all(np.isfinite(elems)):
             raise ValueError("RIS element coordinates must be finite")

@@ -1,6 +1,7 @@
 import argparse
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -367,6 +368,34 @@ class TestCliErrors:
         rc = main(["dump-channels", "--scenario", str(scn), "--out", str(out)])
         assert rc == EXIT_INPUT_ERROR
         assert "cs_tx is within one wavelength" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_carrier_is_input_error(self, tmp_path, capsys):
+        # lambda = c / inf = 0 would pass the one-wavelength rule
+        text = DEFAULT_SCENARIO.read_text()
+        scn = tmp_path / "inf-carrier.scn"
+        scn.write_text(text.replace("\nfc_hz = 3750000000.0\n", "\nfc_hz = inf\n"))
+        out = tmp_path / "chan.csv"
+        rc = main(["dump-channels", "--scenario", str(scn), "--out", str(out)])
+        assert rc == EXIT_INPUT_ERROR
+        assert "fc_hz must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    # 10 ** (x / 10) overflows (a bare OverflowError) or underflows to 0 W
+    # (a divide-by-zero, or an all-zero solution) for these values.
+    @pytest.mark.parametrize("key, value", [("pt_dbm", -4000), ("noise_bob_dbm", 4000),
+                                            ("noise_eve_dbm", -4000), ("tx_gain_dbi", 4000)])
+    def test_db_value_without_a_linear_value_is_input_error(self, tmp_path, capsys, key, value):
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", DEFAULT_SCENARIO.read_text(),
+                              flags=re.MULTILINE)
+        assert count == 1
+        scn = tmp_path / "huge-db.scn"
+        scn.write_text(text)
+        out = tmp_path / "solution.csv"
+        rc = main(["solve-alpha", "--scenario", str(scn), "--out", str(out),
+                   "--eta", "0.01", "--gamma-bob-db", "2.2"])
+        assert rc == EXIT_INPUT_ERROR
+        assert f"risjam: error: {key} = " in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_scenario_file(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from risjam import _kernels
 from risjam.channel import build_channel_set
 from risjam.optimize import (
     ReceivedPowerOracle,
@@ -261,6 +262,29 @@ class TestReceivedPowerOracle:
         with pytest.raises(ValueError):
             oracle(np.zeros(8))
 
+    # N = 256: every iterative trial after each oracle's first call is a flip
+    # (2 partition sums for each of the two first calls); every DFT codeword
+    # is measured in full (2 partition sums per call).
+    @pytest.mark.parametrize("algorithm, sums, calls", [("iterative", 4, 258), ("dft", 512, 256)])
+    def test_flip_and_full_path_counts(self, table_scenario, table_channels, monkeypatch,
+                                       algorithm, sums, calls):
+        summed, oracles = [], []
+        coherent_sum, init = _kernels.coherent_sum, ReceivedPowerOracle.__init__
+
+        def counting_sum(*args):
+            summed.append(len(args[0]))
+            return coherent_sum(*args)
+
+        def register(self, *args):
+            init(self, *args)
+            oracles.append(self)
+
+        monkeypatch.setattr(_kernels, "coherent_sum", counting_sum)
+        monkeypatch.setattr(ReceivedPowerOracle, "__init__", register)
+        optimized_config(table_scenario, table_channels, algorithm, seed=1)
+        assert len(summed) == sums and set(summed) == {128}
+        assert len(oracles) == 2 and sum(o.calls for o in oracles) == calls
+
 
 # One caller step: (kind, element or seed, value). "flip" toggles an element
 # between 0 and pi, "reject" toggles it and restores it after the call (so the
@@ -287,6 +311,15 @@ class TestFlipAwareOracle:
            steps=_STEPS)
     @example(seed=3, shape=(3, 4), link=("cs", "bob"), steps=_MIXED)
     @example(seed=4, shape=(4, 6), link=("an", "eve"), steps=_MIXED[::-1])
+    # On a 2x2 panel elements 0 and 2 form r_e, 1 and 3 form r_b. The last call
+    # reverts element 0 in r_e and flips element 1 in r_b.
+    @example(seed=5, shape=(2, 2), link=("cs", "bob"),
+             steps=[("flip", 0, 0.0), ("flip", 1, 0.0), ("reject", 0, 0.0), ("flip", 1, 0.0)])
+    # After element 0 is set to 1.0 (a full measurement), the third call reverts
+    # element 1 and flips element 2 into r_e, which has no term array and holds
+    # 1.0, so it is measured in full.
+    @example(seed=6, shape=(2, 2), link=("an", "eve"),
+             steps=[("set", 0, 1.0), ("reject", 1, 0.0), ("flip", 2, 0.0), ("flip", 1, 0.0)])
     def test_matches_a_fresh_oracle(self, seed, shape, link, steps):
         rng = np.random.default_rng(seed)
         sc = make_random_scenario(rng, *shape)
