@@ -55,6 +55,9 @@ DEFAULT_SEED = 1
 # Most transmit powers one sweep-power run solves (~1 ms each at 16x16): a
 # mistyped step that asks for millions is rejected before the list is built.
 MAX_PT_SWEEP_POINTS = 10_001
+# Most power-split grid points one --alpha-grid asks for (~0.13 ms each in
+# sweep-alpha at 16x16): a mistyped 10^9 would need 8 GB for the grid alone.
+MAX_ALPHA_GRID_POINTS = 100_001
 
 
 def optimized_config(
@@ -237,10 +240,12 @@ def parse_pt_sweep(text: str) -> tuple[float, ...]:
 
 
 def parse_alpha_grid(text: str) -> int:
-    """Parse the number of power-split grid points (at least 2)."""
+    """Parse the number of power-split grid points (2 to MAX_ALPHA_GRID_POINTS)."""
     points = int(text)
     if points < 2:
         raise argparse.ArgumentTypeError(f"must have at least 2 points, got {points}")
+    if points > MAX_ALPHA_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"{points} points, more than {MAX_ALPHA_GRID_POINTS}")
     return points
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,9 @@ from .secrecy import (
     CapacityReport,
     PowerSplit,
     SecrecyThresholds,
-    beta_terms,
     capacity_report,
+    link_powers,
+    path_gains,
 )
 
 #: Anything that maps a full-surface phase vector (an (N,) array) to a received
@@ -88,26 +89,28 @@ class ReceivedPowerOracle:
         self._powers = [0.0, 0.0]  # each partition's power at _last
         self._terms = [None, None]  # each partition's terms at _last, once built
         self._tables = [None, None]  # each partition's (theta=0, theta=pi) terms
-        self._part = [-1] * self._n  # each element's partition, -1 for neither
-        self._pos = [0] * self._n  # and its position in it
-        for k, (path, _) in enumerate(self._parts):
-            for i, e in enumerate(path.indices.tolist()):
-                self._part[e], self._pos[e] = k, i
+        part = np.full(self._n, -1)  # each element's partition, -1 for neither
+        pos = np.zeros(self._n, dtype=np.intp)  # and its position in it
+        for k, path in enumerate(paths):
+            part[path.indices] = k
+            pos[path.indices] = np.arange(path.indices.size)
+        self._part, self._pos = part.tolist(), pos.tolist()
 
     def __call__(self, phases: np.ndarray) -> float:
         if np.shape(phases) != (self._n,):
             raise ValueError("phase vector length does not match the channel set")
         self.calls += 1
-        if self._last is not None:
-            changed = phases != self._last
+        last, powers = self._last, self._powers
+        if last is not None:
+            changed = phases != last
             if np.count_nonzero(changed) <= 2 and self._flip(phases, changed.nonzero()[0].tolist()):
-                return 0.0 + self._powers[0] + self._powers[1]
+                return 0.0 + powers[0] + powers[1]
         for k, (path, scale) in enumerate(self._parts):
             g = kernels.coherent_sum(path.amplitude, path.phase, phases[path.indices])
-            self._powers[k] = scale * (g.real * g.real + g.imag * g.imag)
+            powers[k] = scale * (g.real * g.real + g.imag * g.imag)
         self._last = np.array(phases, dtype=float)
         self._terms = [None, None]
-        return 0.0 + self._powers[0] + self._powers[1]
+        return 0.0 + powers[0] + powers[1]
 
     def _flip(self, phases: np.ndarray, elems: list[int]) -> bool:
         """Move to `phases`, which differs from the last vector at `elems`, from the tables.
@@ -121,28 +124,32 @@ class ReceivedPowerOracle:
         for v in values:
             if v != 0.0 and v != PI:
                 return False
-        parts = [self._part[e] for e in elems]
-        touched = [k for k in (0, 1) if k in parts]
-        for k in touched:
-            if self._terms[k] is None and not _is_binary(phases[self._parts[k][0].indices]):
+        part, all_terms = self._part, self._terms
+        parts = [part[e] for e in elems]
+        for k in (0, 1):
+            if k in parts and all_terms[k] is None and not _is_binary(phases[self._parts[k][0].indices]):
                 return False
-        for k in touched:
+        pos = self._pos
+        for k in (0, 1):
+            if k not in parts:
+                continue
             path, scale = self._parts[k]
             if self._tables[k] is None:
                 self._tables[k] = [path.amplitude * np.exp(-1j * (path.phase + t)) for t in (0.0, PI)]
             t0, tpi = self._tables[k]
-            terms = self._terms[k]
+            terms = all_terms[k]
             if terms is None:
-                terms = self._terms[k] = np.where(phases[path.indices] == PI, tpi, t0)
+                terms = all_terms[k] = np.where(phases[path.indices] == PI, tpi, t0)
             else:
-                for e, part, v in zip(elems, parts, values):
-                    if part == k:
-                        i = self._pos[e]
+                for e, p, v in zip(elems, parts, values):
+                    if p == k:
+                        i = pos[e]
                         terms[i] = tpi[i] if v == PI else t0[i]
             g = complex(np.add.reduce(terms))
             self._powers[k] = scale * (g.real * g.real + g.imag * g.imag)
+        last = self._last
         for e, v in zip(elems, values):
-            self._last[e] = v
+            last[e] = v
         return True
 
 
@@ -160,8 +167,7 @@ def an_power_at_eve(sc: ScenarioConfig, ch: ChannelSet) -> ReceivedPowerOracle:
     return ReceivedPowerOracle(sc, ch, "an", "eve")
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One optimizer trial: a recorded power and the running best.
 
     dft_sweep records each codeword's measured power in power_w.
@@ -284,15 +290,18 @@ class AllocationSolution:
 
 
 class _AlphaResponse:
-    """SINRs and capacities as functions of alpha1, from two beta evaluations.
+    """SINRs and capacities as functions of alpha1, from the configuration's path gains.
 
-    The couplings are the received powers at full transmit power: x_* for the
-    communication signal, y_* for the artificial noise, at Bob and Eve.
+    The eight gains are evaluated once and kept in `gains`, so the couplings
+    and the reported solution reuse them. The couplings are the received
+    powers at full transmit power: x_* for the communication signal, y_* for
+    the artificial noise, at Bob and Eve.
     """
 
     def __init__(self, sc: ScenarioConfig, ch: ChannelSet, cfg: PhaseConfig):
-        cs = beta_terms(sc, ch, cfg, PowerSplit(1.0, 0.0)).beta
-        an = beta_terms(sc, ch, cfg, PowerSplit(0.0, 1.0)).beta
+        self.gains = gains = path_gains(ch, cfg)
+        cs = link_powers(sc, ch, gains, PowerSplit(1.0, 0.0)).beta
+        an = link_powers(sc, ch, gains, PowerSplit(0.0, 1.0)).beta
         self.x_b = cs[0] ** 2 + cs[1] ** 2
         self.y_b = an[2] ** 2 + an[3] ** 2
         self.x_e = cs[6] ** 2 + cs[7] ** 2
@@ -400,7 +409,7 @@ def optimize_alpha(
     if not feas.any():
         worst = model.violation(alphas, th)
         alpha = float(alphas[int(np.argmin(worst))])
-        return _finish(sc, ch, cfg, th, alpha, feasible=False)
+        return _finish(sc, ch, model.gains, th, alpha, feasible=False)
 
     cs = model.secrecy(alphas)
     cs = np.where(feas, cs, -np.inf)
@@ -424,11 +433,11 @@ def optimize_alpha(
     refined = _golden_max(lambda a: float(model.secrecy(a)), lo, hi, ALPHA_TOL)
     candidates = [best_a, refined, lo, hi]
     alpha = max(candidates, key=lambda a: float(model.secrecy(a)))
-    return _finish(sc, ch, cfg, th, alpha, feasible=True)
+    return _finish(sc, ch, model.gains, th, alpha, feasible=True)
 
 
-def _finish(sc, ch, cfg, th, alpha: float, feasible: bool) -> AllocationSolution:
-    lp = beta_terms(sc, ch, cfg, PowerSplit.of(alpha))
+def _finish(sc, ch, gains, th, alpha: float, feasible: bool) -> AllocationSolution:
+    lp = link_powers(sc, ch, gains, PowerSplit.of(alpha))
     report = capacity_report(lp)
     return AllocationSolution(
         alpha1=alpha,

@@ -21,6 +21,11 @@ SPEED_OF_LIGHT = 299_792_458.0
 #: along +y and its rows along z.
 PANEL_NORMAL = (1.0, 0.0, 0.0)
 
+#: Lowest receiver noise power a scenario may set, in dBm. Thermal noise kT at
+#: 1 K in 1 Hz is -198.6 dBm; far below it the linear power is subnormal and
+#: the SINRs overflow.
+MIN_NOISE_DBM = -200.0
+
 
 class DegenerateGeometryError(ValueError):
     """Raised when a geometric configuration has no physical meaning (e.g. zero range)."""
@@ -250,6 +255,11 @@ class ScenarioConfig:
         for name in ("pt_dbm", "noise_bob_dbm", "noise_eve_dbm", "fs_hz", "tx_gain_dbi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        for name in ("noise_bob_dbm", "noise_eve_dbm"):
+            if getattr(self, name) < MIN_NOISE_DBM:
+                raise ValueError(
+                    f"{name} = {getattr(self, name)!r} is below the noise floor of {MIN_NOISE_DBM} dBm"
+                )
         ris = RisGeometry(self.ris_rows, self.ris_cols, self.ris_spacing_m, self.ris_center)
         object.__setattr__(self, "ris", ris)
         object.__setattr__(self, "tx_pattern",

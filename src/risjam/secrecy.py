@@ -123,22 +123,38 @@ class SecrecyThresholds:
         return math.log2(1.0 + self.gamma_eve_max)
 
 
-def beta_terms(sc: ScenarioConfig, ch: ChannelSet, cfg: PhaseConfig, split: PowerSplit) -> LinkPowers:
-    """Evaluate the eight component amplitudes for one configuration and power split.
+def path_gains(ch: ChannelSet, cfg: PhaseConfig) -> list[float]:
+    """|cascaded gain| of each BETA_PATHS path at cfg: the part of the beta terms the phases set.
 
-    beta_k = sqrt(alpha_src * P_t * L_path) * |cascaded gain of the partition|,
-    with alpha_src = alpha1 for communication-signal paths and alpha2 for
-    noise paths.
+    One set of gains serves every power split of the same configuration
+    (see link_powers).
     """
     if cfg.n_elements != ch.n_elements:
         raise ValueError("phase config and channel set disagree on element count")
+    return [abs(cascaded_gain(ch.paths[key], cfg.phases)) for key in BETA_PATHS]
+
+
+def link_powers(sc: ScenarioConfig, ch: ChannelSet, gains, split: PowerSplit) -> LinkPowers:
+    """Scale the path gains of one configuration to the eight amplitudes of a power split.
+
+    beta_k = sqrt(alpha_src * P_t * L_path) * gains[k], with alpha_src =
+    alpha1 for communication-signal paths and alpha2 for noise paths.
+    """
     pt = sc.pt_watts
     beta = np.empty(8)
     for k, key in enumerate(BETA_PATHS):
-        path = ch.paths[key]
         alpha = split.alpha1 if key[0] == "s" else split.alpha2
-        beta[k] = math.sqrt(alpha * pt * path.path_loss) * abs(cascaded_gain(path, cfg.phases))
+        beta[k] = math.sqrt(alpha * pt * ch.paths[key].path_loss) * gains[k]
     return LinkPowers(beta=beta, noise_bob=sc.noise_bob_watts, noise_eve=sc.noise_eve_watts)
+
+
+def beta_terms(sc: ScenarioConfig, ch: ChannelSet, cfg: PhaseConfig, split: PowerSplit) -> LinkPowers:
+    """Evaluate the eight component amplitudes for one configuration and power split.
+
+    beta_k = sqrt(alpha_src * P_t * L_path) * |cascaded gain of the partition|:
+    link_powers applied to path_gains.
+    """
+    return link_powers(sc, ch, path_gains(ch, cfg), split)
 
 
 def _ratio(signal: float, interference: float) -> float:

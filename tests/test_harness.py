@@ -14,10 +14,12 @@ from risjam.harness import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    MAX_ALPHA_GRID_POINTS,
     MAX_PT_SWEEP_POINTS,
     build_parser,
     main,
     optimized_config,
+    parse_alpha_grid,
     parse_pt_sweep,
 )
 from risjam.channel import build_channel_set
@@ -108,6 +110,16 @@ class TestParsePtSweep:
         assert len(parse_pt_sweep(f"0:1:{last}")) == MAX_PT_SWEEP_POINTS
         with pytest.raises(argparse.ArgumentTypeError, match=f"{MAX_PT_SWEEP_POINTS + 1} points"):
             parse_pt_sweep(f"0:1:{last + 1}")
+
+
+class TestParseAlphaGrid:
+    def test_point_cap(self):
+        assert MAX_ALPHA_GRID_POINTS == 100_001
+        assert parse_alpha_grid(str(MAX_ALPHA_GRID_POINTS)) == MAX_ALPHA_GRID_POINTS
+        with pytest.raises(argparse.ArgumentTypeError, match=f"{MAX_ALPHA_GRID_POINTS + 1} points"):
+            parse_alpha_grid(str(MAX_ALPHA_GRID_POINTS + 1))
+        with pytest.raises(argparse.ArgumentTypeError, match="1000000000 points"):
+            parse_alpha_grid("1000000000")
 
 
 class TestOptimizePhasesCommand:
@@ -382,9 +394,11 @@ class TestCliErrors:
         assert not out.exists()
 
     # 10 ** (x / 10) overflows (a bare OverflowError) or underflows to 0 W
-    # (a divide-by-zero, or an all-zero solution) for these values.
+    # (a divide-by-zero, or an all-zero solution) for these values; a noise
+    # power of -3200 dBm is subnormal, so a SINR overflows to inf.
     @pytest.mark.parametrize("key, value", [("pt_dbm", -4000), ("noise_bob_dbm", 4000),
-                                            ("noise_eve_dbm", -4000), ("tx_gain_dbi", 4000)])
+                                            ("noise_eve_dbm", -4000), ("tx_gain_dbi", 4000),
+                                            ("noise_bob_dbm", -3200), ("noise_eve_dbm", -3200)])
     def test_db_value_without_a_linear_value_is_input_error(self, tmp_path, capsys, key, value):
         text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", DEFAULT_SCENARIO.read_text(),
                               flags=re.MULTILINE)
@@ -397,6 +411,20 @@ class TestCliErrors:
         assert rc == EXIT_INPUT_ERROR
         assert f"risjam: error: {key} = " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_noise_at_the_floor_is_accepted(self, tmp_path):
+        text = DEFAULT_SCENARIO.read_text()
+        for key in ("noise_bob_dbm", "noise_eve_dbm"):
+            text, count = re.subn(rf"^{key} = .*$", f"{key} = -200", text, flags=re.MULTILINE)
+            assert count == 1
+        scn = tmp_path / "floor.scn"
+        scn.write_text(text)
+        out = tmp_path / "alpha.csv"
+        assert main(["sweep-alpha", "--scenario", str(scn), "--out", str(out),
+                     "--alpha-grid", "11"]) == EXIT_OK
+        rows = [row.split(",") for row in out.read_text().splitlines()[2:]]
+        assert len(rows) == 11
+        assert all(math.isfinite(float(c)) for row in rows for c in row[1:4])
 
     def test_malformed_scenario_file(self, tmp_path):
         bad = tmp_path / "bad.scn"
@@ -431,6 +459,16 @@ class TestCliErrors:
         rc = main([command, "--scenario", tiny_scenario_file, "--out", str(out_dir / "x.csv"),
                    *required_flags(command), "--alpha-grid", "1"])
         assert rc == EXIT_INPUT_ERROR
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sweep-alpha", "sweep-power", "solve-alpha"])
+    def test_alpha_grid_above_cap_rejected(self, tiny_scenario_file, tmp_path, capsys, command):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        rc = main([command, "--scenario", tiny_scenario_file, "--out", str(out_dir / "x.csv"),
+                   *required_flags(command), "--alpha-grid", str(MAX_ALPHA_GRID_POINTS + 1)])
+        assert rc == EXIT_INPUT_ERROR
+        assert f"{MAX_ALPHA_GRID_POINTS + 1} points" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
     def test_unknown_algorithm_rejected(self, tiny_scenario_file, tmp_path):

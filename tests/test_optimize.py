@@ -449,6 +449,25 @@ class TestOptimizeAlpha:
             optimize_alpha(table_scenario, table_channels, cfg,
                            SecrecyThresholds(0.0, math.inf), grid=1)
 
+    # One solve evaluates the eight path gains of BETA_PATHS once, for the
+    # couplings and the reported solution alike: one 128-element sum each.
+    @pytest.mark.parametrize("solve", [
+        lambda sc, ch, cfg: optimize_alpha(sc, ch, cfg, SecrecyThresholds.from_eta(10 ** 0.22, 0.01), 1001),
+        lambda sc, ch, cfg: capacity_ratio_alpha(sc, ch, cfg, 0.01, 1001),
+    ], ids=["optimize_alpha", "capacity_ratio_alpha"])
+    def test_one_gain_evaluation_per_solve(self, table_scenario, table_channels, monkeypatch, solve):
+        cfg, _ = optimized_config(table_scenario, table_channels, "iterative", seed=1)
+        summed = []
+        coherent_sum = _kernels.coherent_sum
+
+        def counting_sum(*args):
+            summed.append(len(args[0]))
+            return coherent_sum(*args)
+
+        monkeypatch.setattr(_kernels, "coherent_sum", counting_sum)
+        solve(table_scenario, table_channels, cfg)
+        assert summed == [128] * 8
+
 
 class TestCapacityRatioAlpha:
     def test_vacuous_ratio_returns_top(self, table_scenario, table_channels):

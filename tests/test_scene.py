@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risjam.scene import (
+    MIN_NOISE_DBM,
     AntennaPattern,
     DegenerateGeometryError,
     Position3D,
@@ -152,6 +153,15 @@ class TestScenarioValidation:
         text = format_scenario(table_scenario).replace("tx_gain_dbi = 13.0", "tx_gain_dbi = inf")
         with pytest.raises(ScenarioFormatError, match="tx_gain_dbi must be finite"):
             parse_scenario(text)
+
+    @pytest.mark.parametrize("key", ["noise_bob_dbm", "noise_eve_dbm"])
+    def test_noise_below_the_floor_rejected(self, table_scenario, key):
+        from dataclasses import replace
+
+        assert MIN_NOISE_DBM == -200.0
+        assert getattr(replace(table_scenario, **{key: MIN_NOISE_DBM}), key) == MIN_NOISE_DBM
+        with pytest.raises(ValueError, match=f"{key} = -200.5 is below the noise floor"):
+            replace(table_scenario, **{key: -200.5})
 
     def test_elements_are_the_read_only_lattice(self, table_scenario):
         elems = table_scenario.elements
