@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .channel import ChannelSet
-from .ris import PI, Codebook, PhaseConfig, set_partition
+from .ris import PI, Codebook, PhaseConfig, is_binary, set_partition
 from .scene import ScenarioConfig
 from .secrecy import (
     CapacityReport,
@@ -64,11 +64,12 @@ class ReceivedPowerOracle:
     The oracle keeps a copy of the last vector it measured and each
     partition's power there. A vector that differs from it in at most two
     elements, each set to 0 or pi (a search's flip trial, or a rejected flip's
-    revert plus the next flip), is measured by copying those elements' terms
-    from per-element tables of both binary states into the partition's term
-    array and re-summing it. The array equals the one coherent_sum builds,
-    element for element, so the power is the same to the last bit. Any other
-    vector is measured in full.
+    revert plus the next flip), is a flip trial: each changed element's term
+    is copied from per-element tables of both binary states into its
+    partition's term array, and each touched partition is re-summed. The array
+    equals the one coherent_sum builds, element for element, so the power is
+    the same to the last bit. Any other vector is measured in full. A vector
+    that is not a numpy array is converted to a float array first.
     """
 
     def __init__(self, sc: ScenarioConfig, ch: ChannelSet, signal: str, user: str):
@@ -83,78 +84,79 @@ class ReceivedPowerOracle:
         src = "s" if signal == "cs" else "a"
         out = "b" if user == "bob" else "e"
         pt = sc.pt_watts
-        paths = [ch.paths[(src, part, out)] for part in ("rb", "re")]
-        self._parts = [(path, pt * path.path_loss) for path in paths]
+        self._paths = paths = [ch.paths[(src, part, out)] for part in ("rb", "re")]
+        self._scales = [pt * path.path_loss for path in paths]
         self._last = None  # copy of the last measured vector
         self._powers = [0.0, 0.0]  # each partition's power at _last
-        self._terms = [None, None]  # each partition's terms at _last, once built
-        self._tables = [None, None]  # each partition's (theta=0, theta=pi) terms
+        self._terms = [None, None]  # each partition's term array at _last, once started
+        self._tables = [None, None]  # each partition's (theta=0, theta=pi) term arrays
+        self._states = [None, None]  # the same two tables as lists of Python complexes
         part = np.full(self._n, -1)  # each element's partition, -1 for neither
         pos = np.zeros(self._n, dtype=np.intp)  # and its position in it
         for k, path in enumerate(paths):
             part[path.indices] = k
             pos[path.indices] = np.arange(path.indices.size)
-        self._part, self._pos = part.tolist(), pos.tolist()
+        # one (partition, position) look-up per element
+        self._where = list(zip(part.tolist(), pos.tolist()))
 
     def __call__(self, phases: np.ndarray) -> float:
-        if np.shape(phases) != (self._n,):
+        if type(phases) is not np.ndarray:
+            phases = np.asarray(phases, dtype=float)
+        if phases.shape != (self._n,):
             raise ValueError("phase vector length does not match the channel set")
         self.calls += 1
         last, powers = self._last, self._powers
         if last is not None:
             changed = phases != last
-            if np.count_nonzero(changed) <= 2 and self._flip(phases, changed.nonzero()[0].tolist()):
-                return 0.0 + powers[0] + powers[1]
-        for k, (path, scale) in enumerate(self._parts):
+            if np.count_nonzero(changed) <= 2:
+                # A flip trial. Any element that cannot be patched (in neither
+                # partition, not binary, or in a partition that is not binary
+                # and has no term array) breaks out to the full measurement,
+                # which replaces every partly updated state.
+                where, terms, states, item = self._where, self._terms, self._states, phases.item
+                touched = 0  # bit k set when partition k holds a changed element
+                for e in changed.nonzero()[0].tolist():
+                    k, i = where[e]
+                    if k < 0:
+                        break
+                    t = terms[k]
+                    if t is None and (t := self._start(k, phases)) is None:
+                        break
+                    v = item(e)
+                    if v == PI:
+                        t[i] = states[k][1][i]
+                    elif v == 0.0:
+                        t[i] = states[k][0][i]
+                    else:
+                        break
+                    last[e] = v
+                    touched |= 1 << k
+                else:
+                    for k in (0, 1):
+                        if touched >> k & 1:
+                            g = complex(np.add.reduce(terms[k]))
+                            powers[k] = self._scales[k] * (g.real * g.real + g.imag * g.imag)
+                    return 0.0 + powers[0] + powers[1]
+        for k, path in enumerate(self._paths):
             g = kernels.coherent_sum(path.amplitude, path.phase, phases[path.indices])
-            powers[k] = scale * (g.real * g.real + g.imag * g.imag)
+            powers[k] = self._scales[k] * (g.real * g.real + g.imag * g.imag)
         self._last = np.array(phases, dtype=float)
         self._terms = [None, None]
         return 0.0 + powers[0] + powers[1]
 
-    def _flip(self, phases: np.ndarray, elems: list[int]) -> bool:
-        """Move to `phases`, which differs from the last vector at `elems`, from the tables.
-
-        Only the partitions that hold a changed element are re-summed. Returns
-        False, with nothing updated, when a changed element is not binary, or
-        when a partition without a term array at the last vector (as after a
-        full measurement) is not binary at `phases`.
-        """
-        values = [phases.item(e) for e in elems]
-        for v in values:
-            if v != 0.0 and v != PI:
-                return False
-        part, all_terms = self._part, self._terms
-        parts = [part[e] for e in elems]
-        for k in (0, 1):
-            if k in parts and all_terms[k] is None and not _is_binary(phases[self._parts[k][0].indices]):
-                return False
-        pos = self._pos
-        for k in (0, 1):
-            if k not in parts:
-                continue
-            path, scale = self._parts[k]
-            if self._tables[k] is None:
-                self._tables[k] = [path.amplitude * np.exp(-1j * (path.phase + t)) for t in (0.0, PI)]
-            t0, tpi = self._tables[k]
-            terms = all_terms[k]
-            if terms is None:
-                terms = all_terms[k] = np.where(phases[path.indices] == PI, tpi, t0)
-            else:
-                for e, p, v in zip(elems, parts, values):
-                    if p == k:
-                        i = pos[e]
-                        terms[i] = tpi[i] if v == PI else t0[i]
-            g = complex(np.add.reduce(terms))
-            self._powers[k] = scale * (g.real * g.real + g.imag * g.imag)
-        last = self._last
-        for e, v in zip(elems, values):
-            last[e] = v
-        return True
-
-
-def _is_binary(theta: np.ndarray) -> bool:
-    return bool(np.all((theta == 0.0) | (theta == PI)))
+    def _start(self, k: int, phases: np.ndarray) -> np.ndarray | None:
+        """Partition k's term array at `phases`, or None if the partition is not binary there."""
+        path = self._paths[k]
+        theta = phases[path.indices]
+        if not is_binary(theta):
+            return None
+        if self._tables[k] is None:
+            t0, tpi = (path.amplitude * np.exp(-1j * (path.phase + t)) for t in (0.0, PI))
+            self._tables[k] = (t0, tpi)
+            self._states[k] = (t0.tolist(), tpi.tolist())
+        t0, tpi = self._tables[k]
+        terms = self._terms[k] = np.where(theta == PI, tpi, t0)
+        return terms
 
 
 def cs_power_at_bob(sc: ScenarioConfig, ch: ChannelSet) -> ReceivedPowerOracle:
@@ -198,17 +200,19 @@ def iterative_optimize(
     rng = np.random.default_rng(seed)
     phases = np.array(cfg.phases)
     best = float(oracle(phases))
-    trace: list[TraceEntry] = []
+    bests: list[float] = []  # the incumbent power after each trial
     visits = np.asarray(indices, dtype=np.intp)[rng.permutation(len(indices))].tolist()
-    for trial, elem in enumerate(visits, start=1):
-        kept = phases[elem]
+    item = phases.item
+    for elem in visits:
+        kept = item(elem)
         phases[elem] = PI if kept == 0.0 else 0.0
         p = float(oracle(phases))
         if p > best:
             best = p
         else:
             phases[elem] = kept
-        trace.append(TraceEntry(trial, best, best))
+        bests.append(best)
+    trace = list(map(TraceEntry._make, zip(range(1, len(bests) + 1), bests, bests)))
     return PhaseConfig(phases), trace
 
 

@@ -10,12 +10,14 @@ import numpy as np
 
 PI = math.pi
 
-#: The two admissible element phases (mirror and half-wave states).
-BINARY_PHASES = (0.0, PI)
+
+def is_binary(values: np.ndarray) -> bool:
+    """Whether every phase is one of the two element states, 0 (mirror) or pi."""
+    return bool(np.all((values == 0.0) | (values == PI)))
 
 
 def _check_binary(values: np.ndarray, what: str) -> None:
-    if not np.all((values == 0.0) | (values == PI)):
+    if not is_binary(values):
         raise ValueError(f"{what} must contain only the phases 0 and pi")
 
 

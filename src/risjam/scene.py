@@ -26,6 +26,14 @@ PANEL_NORMAL = (1.0, 0.0, 0.0)
 #: the SINRs overflow.
 MIN_NOISE_DBM = -200.0
 
+#: Highest transmit power a scenario may set, in dBm (1 GW). With noise at
+#: MIN_NOISE_DBM and the gain at MAX_TX_GAIN_DBI, every SINR stays far below
+#: the float range.
+MAX_PT_DBM = 150.0
+
+#: Highest transmit-antenna boresight gain a scenario may set, in dBi.
+MAX_TX_GAIN_DBI = 60.0
+
 
 class DegenerateGeometryError(ValueError):
     """Raised when a geometric configuration has no physical meaning (e.g. zero range)."""
@@ -260,6 +268,9 @@ class ScenarioConfig:
                 raise ValueError(
                     f"{name} = {getattr(self, name)!r} is below the noise floor of {MIN_NOISE_DBM} dBm"
                 )
+        for name, cap, unit in (("pt_dbm", MAX_PT_DBM, "dBm"), ("tx_gain_dbi", MAX_TX_GAIN_DBI, "dBi")):
+            if getattr(self, name) > cap:
+                raise ValueError(f"{name} = {getattr(self, name)!r} is above the cap of {cap} {unit}")
         ris = RisGeometry(self.ris_rows, self.ris_cols, self.ris_spacing_m, self.ris_center)
         object.__setattr__(self, "ris", ris)
         object.__setattr__(self, "tx_pattern",

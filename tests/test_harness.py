@@ -412,6 +412,20 @@ class TestCliErrors:
         assert f"risjam: error: {key} = " in capsys.readouterr().err
         assert not out.exists()
 
+    # About 1e305 W: the capacities used to overflow to inf and nan, and the
+    # command wrote them and exited 0.
+    def test_huge_transmit_power_is_input_error(self, tmp_path, capsys):
+        text, count = re.subn(r"^pt_dbm = .*$", "pt_dbm = 3080", DEFAULT_SCENARIO.read_text(),
+                              flags=re.MULTILINE)
+        assert count == 1
+        scn = tmp_path / "huge-pt.scn"
+        scn.write_text(text)
+        out = tmp_path / "alpha.csv"
+        rc = main(["sweep-alpha", "--scenario", str(scn), "--out", str(out), "--alpha-grid", "3"])
+        assert rc == EXIT_INPUT_ERROR
+        assert "risjam: error: pt_dbm = 3080" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_noise_at_the_floor_is_accepted(self, tmp_path):
         text = DEFAULT_SCENARIO.read_text()
         for key in ("noise_bob_dbm", "noise_eve_dbm"):

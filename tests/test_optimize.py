@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risjam import _kernels
-from risjam.channel import build_channel_set
+from risjam.channel import ChannelSet, build_channel_set
 from risjam.optimize import (
     ReceivedPowerOracle,
     an_power_at_eve,
@@ -262,6 +262,31 @@ class TestReceivedPowerOracle:
         with pytest.raises(ValueError):
             oracle(np.zeros(8))
 
+    def test_list_input(self, table_scenario, table_channels):
+        phases = np.random.default_rng(5).choice([0.0, PI], 256)
+        assert cs_power_at_bob(table_scenario, table_channels)(phases.tolist()) == \
+            cs_power_at_bob(table_scenario, table_channels)(phases)
+        oracle = cs_power_at_bob(table_scenario, table_channels)
+        oracle(phases)
+        flipped = phases.copy()
+        flipped[7] = PI - flipped[7]
+        assert oracle(flipped.tolist()) == cs_power_at_bob(table_scenario, table_channels)(flipped)
+        with pytest.raises(ValueError, match="length"):
+            oracle([0.0] * 255)
+
+    def test_element_in_neither_partition(self, table_scenario):
+        from dataclasses import replace
+
+        sc = replace(table_scenario, ris_rows=2, ris_cols=2)
+        ch = ChannelSet(hops=build_channel_set(sc).hops, bob_indices=(1, 2), eve_indices=(0,))
+        oracle = cs_power_at_bob(sc, ch)
+        phases = np.zeros(4)
+        before = oracle(phases)
+        phases[3] = PI  # element 3 is in neither partition
+        assert oracle(phases) == before == cs_power_at_bob(sc, ch)(phases)
+        phases[1] = PI
+        assert oracle(phases) == cs_power_at_bob(sc, ch)(phases) != before
+
     # N = 256: every iterative trial after each oracle's first call is a flip
     # (2 partition sums for each of the two first calls); every DFT codeword
     # is measured in full (2 partition sums per call).
@@ -320,6 +345,25 @@ class TestFlipAwareOracle:
     # 1.0, so it is measured in full.
     @example(seed=6, shape=(2, 2), link=("an", "eve"),
              steps=[("set", 0, 1.0), ("reject", 1, 0.0), ("flip", 2, 0.0), ("flip", 1, 0.0)])
+    # A one-element flip, first into r_e with no term array, then with one.
+    @example(seed=7, shape=(1, 2), link=("an", "eve"), steps=[("flip", 0, 0.0), ("flip", 0, 0.0)])
+    # The last call reverts element 1 and flips element 3, both in r_b.
+    @example(seed=8, shape=(2, 2), link=("cs", "bob"), steps=[("reject", 1, 0.0), ("flip", 3, 0.0)])
+    # On a 3x4 panel elements 0, 1, 4, 5, 8, 9 form r_e, the rest r_b. With
+    # both term arrays started, the last call reverts element 6 in r_b and
+    # flips element 5 in r_e.
+    @example(seed=9, shape=(3, 4), link=("cs", "eve"),
+             steps=[("flip", 2, 0.0), ("flip", 0, 0.0), ("reject", 6, 0.0), ("flip", 5, 0.0)])
+    # The last call flips element 0 into r_e, which has no term array yet, and
+    # reverts element 3 in r_b, which has one.
+    @example(seed=10, shape=(2, 2), link=("an", "bob"),
+             steps=[("flip", 1, 0.0), ("reject", 3, 0.0), ("flip", 0, 0.0)])
+    # The fourth call reverts element 1, whose term is patched, then meets 2.0
+    # at element 3 and is measured in full. So is the fifth, a flip in r_b,
+    # which holds 2.0 and has no term array; the flips after it start new ones.
+    @example(seed=11, shape=(2, 2), link=("cs", "bob"),
+             steps=[("flip", 3, 0.0), ("reject", 1, 0.0), ("set", 3, 2.0), ("flip", 1, 0.0),
+                    ("set", 3, PI), ("flip", 0, 0.0)])
     def test_matches_a_fresh_oracle(self, seed, shape, link, steps):
         rng = np.random.default_rng(seed)
         sc = make_random_scenario(rng, *shape)
@@ -354,6 +398,23 @@ class TestFlipAwareOracle:
                 phases[e] = kept
         measure()
         assert oracle.calls == calls
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(1, 2), (2, 2), (2, 4), (3, 4), (4, 4)]),
+       link=st.sampled_from([("cs", "bob", "rb"), ("an", "eve", "re")]))
+def test_exhaustive_bounds_iterative_bounds_zero(seed, shape, link):
+    # The search starts from all zeros and keeps only strict gains; the
+    # enumeration scores every configuration of the partition, the search's too.
+    rng = np.random.default_rng(seed)
+    sc = make_random_scenario(rng, *shape)
+    ch = build_channel_set(sc)
+    signal, user, part = link
+    oracle = ReceivedPowerOracle(sc, ch, signal, user)
+    base = zero_config(ch.n_elements)
+    it_cfg, _ = iterative_optimize(oracle, base, ch.partition(part), seed)
+    _, best = exhaustive_search(oracle, base, ch.partition(part))
+    assert oracle(base.phases) <= oracle(it_cfg.phases) <= best
 
 
 def _dense_grid_argmax(sc, ch, cfg, th, n=1_000_001):

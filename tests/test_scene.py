@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risjam.scene import (
+    MAX_PT_DBM,
+    MAX_TX_GAIN_DBI,
     MIN_NOISE_DBM,
     AntennaPattern,
     DegenerateGeometryError,
@@ -162,6 +164,15 @@ class TestScenarioValidation:
         assert getattr(replace(table_scenario, **{key: MIN_NOISE_DBM}), key) == MIN_NOISE_DBM
         with pytest.raises(ValueError, match=f"{key} = -200.5 is below the noise floor"):
             replace(table_scenario, **{key: -200.5})
+
+    @pytest.mark.parametrize("key, cap", [("pt_dbm", 150.0), ("tx_gain_dbi", 60.0)])
+    def test_transmit_side_above_its_cap_rejected(self, table_scenario, key, cap):
+        from dataclasses import replace
+
+        assert (MAX_PT_DBM, MAX_TX_GAIN_DBI) == (150.0, 60.0)
+        assert getattr(replace(table_scenario, **{key: cap}), key) == cap
+        with pytest.raises(ValueError, match=f"{key} = {cap + 0.5} is above the cap"):
+            replace(table_scenario, **{key: cap + 0.5})
 
     def test_elements_are_the_read_only_lattice(self, table_scenario):
         elems = table_scenario.elements
