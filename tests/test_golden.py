@@ -48,6 +48,7 @@ COMMANDS = {
 CHANNEL_DIGESTS = {
     16: "7db7fa38d5d6155d087337e9e15589dae543d45571dc551223ac5534a4ec6017",
     32: "df212330fc99184eae2466a460ff732d017d8357d763ff4282e2137505f2c3e8",
+    64: "b28f45b6f317cb4a3e3bbc81bf2123acfc2d005bc3437e1cfededac914b9b373",
 }
 
 
@@ -68,6 +69,8 @@ SEARCH_DIGESTS = {
     ("dft", 16): "a51e32e3e3f573afd640995d290d06c3d4aeaf9253133e1e43d94d6c7a442712",
     ("iterative", 32): "d6562f8007035605615835076ddd952fed0188d9cadb24963c3753fb6a9f32f3",
     ("dft", 32): "d08055a01cea82f69c6ad5d93c8bde57b72df68e71038569b93689ea81f0bcdd",
+    # panel scale: 1025 codewords and 1023 seeded padding trials per partition
+    ("dft", 64): "74852d728ab9818dce1927e4320c140bb7a7c5009a7aafc3c01ad4dd084c50da",
 }
 
 # Largest alpha1 keeping Eve's capacity under 1% of Bob's, at seed 2 (the
