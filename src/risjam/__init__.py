@@ -35,7 +35,7 @@ from .optimize import (  # noqa: F401
     iterative_optimize,
     optimize_alpha,
 )
-from .ris import Codebook, PhaseConfig, binary_dft_codebook, set_partition, zero_config  # noqa: F401
+from .ris import PhaseConfig, binary_dft_codebook, set_partition, zero_config  # noqa: F401
 from .scene import (  # noqa: F401
     AntennaPattern,
     Position3D,

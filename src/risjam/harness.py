@@ -25,6 +25,7 @@ from .optimize import (
 )
 from .ris import PhaseConfig, binary_dft_codebook, load_phase_config, save_phase_config, set_partition, zero_config
 from .scene import (
+    MAX_PT_DBM,
     ScenarioConfig,
     ScenarioFormatError,
     load_scenario,
@@ -217,7 +218,7 @@ def run_dump_channels(args: argparse.Namespace) -> int:
 
 
 def parse_pt_sweep(text: str) -> tuple[float, ...]:
-    """Parse 'start:step:stop' (dBm, inclusive stop) into a power list."""
+    """Parse 'start:step:stop' (dBm, inclusive stop) into a power list, at most MAX_PT_DBM."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected start:step:stop, got {text!r}")
@@ -236,7 +237,11 @@ def parse_pt_sweep(text: str) -> tuple[float, ...]:
     if count > MAX_PT_SWEEP_POINTS:
         raise argparse.ArgumentTypeError(
             f"{text!r} has {count:.15g} points, more than {MAX_PT_SWEEP_POINTS}")
-    return tuple(start + k * step for k in range(count))
+    powers = tuple(start + k * step for k in range(count))
+    if powers[-1] > MAX_PT_DBM:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} reaches {powers[-1]!r} dBm, above the transmit-power cap of {MAX_PT_DBM} dBm")
+    return powers
 
 
 def parse_alpha_grid(text: str) -> int:

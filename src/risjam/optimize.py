@@ -11,6 +11,7 @@ golden-section refinement.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .channel import ChannelSet
-from .ris import PI, Codebook, PhaseConfig, is_binary, set_partition
+from .ris import PI, PhaseConfig, is_binary, set_partition
 from .scene import ScenarioConfig
 from .secrecy import (
     CapacityReport,
@@ -61,15 +62,19 @@ class ReceivedPowerOracle:
     separately. Both partitions contribute (the non-target partition adds a
     constant floor while it is held fixed).
 
-    The oracle keeps a copy of the last vector it measured and each
-    partition's power there. A vector that differs from it in at most two
-    elements, each set to 0 or pi (a search's flip trial, or a rejected flip's
-    revert plus the next flip), is a flip trial: each changed element's term
-    is copied from per-element tables of both binary states into its
-    partition's term array, and each touched partition is re-summed. The array
-    equals the one coherent_sum builds, element for element, so the power is
-    the same to the last bit. Any other vector is measured in full. A vector
-    that is not a numpy array is converted to a float array first.
+    The oracle keeps a copy of the last vector it measured and, for each
+    partition, its power there and, when its phases are all 0 or pi, its term
+    array: the element terms amplitude * exp(-j(psi + theta)), taken from
+    per-element tables of both binary states. A vector that differs from the
+    last in at most two elements, each set to 0 or pi (a search's flip trial,
+    or a rejected flip's revert plus the next flip), is a flip trial: each
+    changed element's term is patched and each touched partition re-summed.
+    Any other vector is measured partition by partition: a partition whose
+    phases did not change keeps its power, a binary one is summed from the
+    tables, and only a partition holding another phase goes through
+    coherent_sum. The term arrays equal the ones coherent_sum builds, element
+    for element, so every power is the same to the last bit. A vector that is
+    not a numpy array is converted to a float array first.
     """
 
     def __init__(self, sc: ScenarioConfig, ch: ChannelSet, signal: str, user: str):
@@ -88,7 +93,7 @@ class ReceivedPowerOracle:
         self._scales = [pt * path.path_loss for path in paths]
         self._last = None  # copy of the last measured vector
         self._powers = [0.0, 0.0]  # each partition's power at _last
-        self._terms = [None, None]  # each partition's term array at _last, once started
+        self._terms = [None, None]  # each partition's term array at _last, None if not binary
         self._tables = [None, None]  # each partition's (theta=0, theta=pi) term arrays
         self._states = [None, None]  # the same two tables as lists of Python complexes
         part = np.full(self._n, -1)  # each element's partition, -1 for neither
@@ -106,6 +111,7 @@ class ReceivedPowerOracle:
             raise ValueError("phase vector length does not match the channel set")
         self.calls += 1
         last, powers = self._last, self._powers
+        changed = None
         if last is not None:
             changed = phases != last
             if np.count_nonzero(changed) <= 2:
@@ -120,7 +126,7 @@ class ReceivedPowerOracle:
                     if k < 0:
                         break
                     t = terms[k]
-                    if t is None and (t := self._start(k, phases)) is None:
+                    if t is None and (t := self._start(k, phases[self._paths[k].indices])) is None:
                         break
                     v = item(e)
                     if v == PI:
@@ -137,20 +143,27 @@ class ReceivedPowerOracle:
                             g = complex(np.add.reduce(terms[k]))
                             powers[k] = self._scales[k] * (g.real * g.real + g.imag * g.imag)
                     return 0.0 + powers[0] + powers[1]
+                changed = None  # partly patched: measure every partition
         for k, path in enumerate(self._paths):
-            g = kernels.coherent_sum(path.amplitude, path.phase, phases[path.indices])
+            if changed is not None and not changed[path.indices].any():
+                continue  # same phases as the last vector: its power and terms hold
+            theta = phases[path.indices]
+            t = self._start(k, theta)
+            if t is None:
+                g = kernels.coherent_sum(path.amplitude, path.phase, theta)
+            else:
+                g = complex(np.add.reduce(t))
             powers[k] = self._scales[k] * (g.real * g.real + g.imag * g.imag)
         self._last = np.array(phases, dtype=float)
-        self._terms = [None, None]
         return 0.0 + powers[0] + powers[1]
 
-    def _start(self, k: int, phases: np.ndarray) -> np.ndarray | None:
-        """Partition k's term array at `phases`, or None if the partition is not binary there."""
-        path = self._paths[k]
-        theta = phases[path.indices]
+    def _start(self, k: int, theta: np.ndarray) -> np.ndarray | None:
+        """Set partition k's term array at its phases `theta`; None if they are not binary."""
         if not is_binary(theta):
+            self._terms[k] = None
             return None
         if self._tables[k] is None:
+            path = self._paths[k]
             t0, tpi = (path.amplitude * np.exp(-1j * (path.phase + t)) for t in (0.0, PI))
             self._tables[k] = (t0, tpi)
             self._states[k] = (t0.tolist(), tpi.tolist())
@@ -220,37 +233,54 @@ def dft_sweep(
     oracle: MeasurementOracle,
     cfg: PhaseConfig,
     indices,
-    cb: Codebook,
+    codebook: np.ndarray,
     seed: int,
 ) -> tuple[PhaseConfig, list[TraceEntry]]:
     """Sweep a codebook over the partition at `indices` and install the best codeword.
 
-    The other partition is expected to be held at 0 by the caller. If the
-    codebook holds fewer codewords than the partition size, the sweep is
-    padded with seeded uniform-random binary codewords to keep the trial
+    codebook holds one binary codeword per row (binary_dft_codebook's
+    array). The other partition is expected to be held at 0 by the caller.
+    If the codebook holds fewer codewords than the partition size, the sweep
+    is padded with seeded uniform-random binary codewords to keep the trial
     budget at one trial per partition element.
     """
-    if len(cb) == 0:
-        raise ValueError("empty codebook")
     idx = np.array(indices)
     budget = len(idx)
-    if any(cw.shape != (budget,) for cw in cb):
+    if np.ndim(codebook) != 2 or len(codebook) == 0:
+        raise ValueError("codebook must be a non-empty 2-D array, one codeword per row")
+    if np.shape(codebook)[1] != budget:
         raise ValueError(f"codewords must hold {budget} phases, one per partition element")
+    if not is_binary(codebook):
+        raise ValueError("codewords must contain only the phases 0 and pi")
     rng = np.random.default_rng(seed)
-    trials = list(cb)
-    while len(trials) < budget:
-        trials.append(np.where(rng.integers(0, 2, budget) == 1, PI, 0.0))
+    trials = itertools.chain(codebook, _padding(rng, budget - len(codebook), budget))
     phases = np.array(cfg.phases)
     best_cw = None
     best = -math.inf
-    trace: list[TraceEntry] = []
-    for t, cw in enumerate(trials, start=1):
+    powers: list[float] = []  # each trial's measured power
+    bests: list[float] = []  # the best power after each trial
+    for cw in trials:
         phases[idx] = cw
         p = float(oracle(phases))
         if p > best:
             best_cw, best = cw, p
-        trace.append(TraceEntry(t, p, best))
+        powers.append(p)
+        bests.append(best)
+    trace = list(map(TraceEntry._make, zip(range(1, len(powers) + 1), powers, bests)))
     return set_partition(cfg, idx, best_cw), trace
+
+
+#: Padding codewords drawn per generator call: a block of this many rows of a
+#: 64x64 panel's partition takes 1 MB. Blocked draws give the same bits as one
+#: draw per row.
+_PADDING_BLOCK = 64
+
+
+def _padding(rng: np.random.Generator, count: int, size: int):
+    """`count` seeded uniform-random binary codewords of `size` phases, drawn in blocks."""
+    for start in range(0, count, _PADDING_BLOCK):
+        bits = rng.integers(0, 2, (min(_PADDING_BLOCK, count - start), size))
+        yield from np.where(bits == 1, PI, 0.0)
 
 
 def exhaustive_search(

@@ -83,56 +83,33 @@ def set_partition(cfg: PhaseConfig, indices, partition_phases) -> PhaseConfig:
     return PhaseConfig(phases)
 
 
-@dataclass(frozen=True)
-class Codebook:
-    """Ordered set of distinct binary phase codewords for one partition."""
-
-    codewords: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        frozen = []
-        seen = set()
-        for cw in self.codewords:
-            arr = np.array(cw, dtype=float)  # private copy
-            _check_binary(arr, "codeword")
-            key = arr.tobytes()
-            if key in seen:
-                raise ValueError("codewords must be pairwise distinct")
-            seen.add(key)
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "codewords", tuple(frozen))
-
-    def __len__(self):
-        return len(self.codewords)
-
-    def __iter__(self):
-        return iter(self.codewords)
-
-
-def binary_dft_codebook(m: int) -> Codebook:
+def binary_dft_codebook(m: int) -> np.ndarray:
     """Distinct binary codewords from phase-quantizing the m-point DFT matrix.
 
     Each DFT entry exp(-2j*pi*k*n/m) is mapped to the nearer of {0, pi}
     (exact quarter-turn ties go to 0); duplicate rows collapse, keeping first
-    occurrence, so the result has at most m codewords and always starts with
-    the all-zero (DC) word. m must be a power of two.
+    occurrence, so the result is a read-only (m', m) array of m' <= m
+    codewords, one per row, and always starts with the all-zero (DC) word.
+    m must be a power of two.
     """
     if m < 1 or (m & (m - 1)) != 0:
         raise ValueError("codebook size must be a power of 2")
-    n = np.arange(m, dtype=np.int64)
-    seen = set()
-    words = []
-    for k in range(m):
-        # entry phase is 2*pi*r/m with r = k*n mod m; it is nearer pi exactly
-        # when 1/4 < r/m < 3/4, decided in integers to make ties exact
-        r4 = 4 * ((k * n) % m)
-        row = np.where((m < r4) & (r4 < 3 * m), PI, 0.0)
-        key = row.tobytes()
-        if key not in seen:
-            seen.add(key)
-            words.append(row)
-    return Codebook(tuple(words))
+    # Row m - k quantizes like row k (its entry phases are the negatives), so
+    # rows past m/2 are never first occurrences. The entry phase is 2*pi*r/m
+    # with r = k*n mod m; it is nearer pi exactly when 1/4 < r/m < 3/4, decided
+    # in integers to make ties exact. uint32 products wrap modulo 2**32, a
+    # multiple of m, so the residues are exact.
+    r4 = np.multiply.outer(np.arange(m // 2 + 1, dtype=np.uint32), np.arange(m, dtype=np.uint32))
+    r4 &= m - 1
+    r4 <<= 2
+    bits = (m < r4) & (r4 < 3 * m)
+    del r4
+    first: dict[bytes, int] = {}  # row bits -> first row holding them, in row order
+    for k, row in enumerate(np.packbits(bits, axis=1)):
+        first.setdefault(row.tobytes(), k)
+    words = np.where(bits[list(first.values())], PI, 0.0)
+    words.setflags(write=False)
+    return words
 
 
 def save_phase_config(cfg: PhaseConfig, path) -> None:

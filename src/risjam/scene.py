@@ -10,6 +10,7 @@ element order is row-major and the panel is split vertically into an Eve half
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -188,8 +189,21 @@ def pattern_gains(p: AntennaPattern, directions: np.ndarray) -> np.ndarray:
     g0 = p.boresight_linear
     if p.kind == "isotropic":
         return np.full(d.shape[0], g0)
-    a2, e2 = 2.0 * p.az_exponent, 2.0 * p.el_exponent
-    return np.array([_cosine_gain(g0, a2, e2, x, y, z) for x, y, z in d.tolist()])
+    x, y, z = d.T
+    # The libm functions _cosine_gain calls, mapped over lists, so every
+    # element rounds as it does there.
+    el = np.array(list(map(math.asin, np.clip(z, -1.0, 1.0).tolist())))
+    az = np.array(list(map(math.atan2, y.tolist(), x.tolist())))
+    live = (x > 0.0) & (np.abs(az) < math.pi / 2) & (np.abs(el) < math.pi / 2)
+    gains = np.zeros(d.shape[0])
+    gains[live] = (g0 * _cos_pow(az[live], 2.0 * p.az_exponent)
+                   * _cos_pow(el[live], 2.0 * p.el_exponent))
+    return gains
+
+
+def _cos_pow(angles: np.ndarray, exponent: float) -> np.ndarray:
+    """math.cos(a) ** exponent for each angle, through libm cos and pow."""
+    return np.array(list(map(pow, map(math.cos, angles.tolist()), itertools.repeat(exponent))))
 
 
 def _cosine_gain(g0: float, a2: float, e2: float, x: float, y: float, z: float) -> float:

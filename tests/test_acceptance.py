@@ -109,7 +109,7 @@ def test_criterion_3_brute_force_oracle_equivalence():
             dft_best = max(t.power_w for t in dft_trace)
             assert dft_best <= best_p
             optimum_word = best_cfg.phases[list(ch.bob_indices)]
-            if any(np.array_equal(w, optimum_word) for w in cb.codewords):
+            if any(np.array_equal(w, optimum_word) for w in cb):
                 assert dft_best == best_p
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.2f}s"

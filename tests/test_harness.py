@@ -24,7 +24,7 @@ from risjam.harness import (
 )
 from risjam.channel import build_channel_set
 from risjam.ris import load_phase_config
-from risjam.scene import load_scenario, save_scenario
+from risjam.scene import MAX_PT_DBM, load_scenario, save_scenario
 from dataclasses import replace
 
 from conftest import DEFAULT_SCENARIO
@@ -107,9 +107,17 @@ class TestParsePtSweep:
 
     def test_point_cap(self):
         last = MAX_PT_SWEEP_POINTS - 1
-        assert len(parse_pt_sweep(f"0:1:{last}")) == MAX_PT_SWEEP_POINTS
+        assert len(parse_pt_sweep(f"{-last}:1:0")) == MAX_PT_SWEEP_POINTS
         with pytest.raises(argparse.ArgumentTypeError, match=f"{MAX_PT_SWEEP_POINTS + 1} points"):
-            parse_pt_sweep(f"0:1:{last + 1}")
+            parse_pt_sweep(f"{-last - 1}:1:0")
+
+    def test_power_cap(self):
+        # the top point, not the stop, is held to the scenario's transmit-power cap
+        assert parse_pt_sweep("130:10:150")[-1] == MAX_PT_DBM
+        assert parse_pt_sweep("130:15:150.5") == (130.0, 145.0)
+        for bad in ("140:10:160", "145:10:160", "150.5:1:150.5"):
+            with pytest.raises(argparse.ArgumentTypeError, match="cap of 150.0 dBm"):
+                parse_pt_sweep(bad)
 
 
 class TestParseAlphaGrid:
@@ -271,6 +279,21 @@ class TestSweepPowerCommand:
         assert rc == EXIT_INPUT_ERROR
         assert not out.exists()
         assert "--pt-sweep" in err and "1000001 points" in err
+
+    def test_pt_sweep_above_power_cap_is_input_error(self, tiny_scenario_file, tmp_path, capsys,
+                                                      monkeypatch):
+        # rejected while parsing: no channel is built and no point is solved
+        import risjam.harness as harness
+
+        built = []
+        monkeypatch.setattr(harness, "build_channel_set", lambda sc: built.append(sc))
+        out = tmp_path / "x.csv"
+        rc = main(["sweep-power", "--scenario", tiny_scenario_file, "--out", str(out),
+                   "--eta", "0.01", "--gamma-bob-db", "2.2", "--pt-sweep=140:10:160"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT_ERROR
+        assert not out.exists() and built == []
+        assert "--pt-sweep" in err and "160.0 dBm" in err and "150.0 dBm" in err
 
     def test_eta_one_recovers_unconstrained_argmax(self, scenario_file, tmp_path):
         from risjam.optimize import optimize_alpha

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risjam import _kernels
-from risjam.channel import ChannelSet, build_channel_set
+from risjam.channel import ChannelSet, build_channel_set, cascaded_gain
 from risjam.optimize import (
     ReceivedPowerOracle,
     an_power_at_eve,
@@ -16,8 +16,9 @@ from risjam.optimize import (
     exhaustive_search,
     iterative_optimize,
     optimize_alpha,
+    _padding,
 )
-from risjam.ris import Codebook, PhaseConfig, binary_dft_codebook, set_partition, zero_config
+from risjam.ris import PhaseConfig, binary_dft_codebook, set_partition, zero_config
 from risjam.secrecy import PowerSplit, SecrecyThresholds, beta_terms, sinr_values
 from risjam.harness import optimized_config
 
@@ -119,7 +120,7 @@ class TestIterativeOptimize:
 
 class TestDftSweep:
     def test_all_zero_codebook(self):
-        cb = Codebook((np.zeros(2),))
+        cb = np.zeros((1, 2))
         base = zero_config(4)
         final, trace = dft_sweep(coherent_oracle([0.3, 0.7], upper(4)), base, upper(4), cb, seed=0)
         assert final == base
@@ -130,7 +131,7 @@ class TestDftSweep:
         oracle = coherent_oracle(psi, upper(4))
         base = zero_config(4)
         winner = np.array([0.0, PI])
-        cb = Codebook((np.zeros(2), winner, np.array([PI, 0.0])))
+        cb = np.array([np.zeros(2), winner, [PI, 0.0]])
         measured = []
 
         def recording(phases):
@@ -158,18 +159,47 @@ class TestDftSweep:
             swept_best = max(t.power_w for t in trace)
             assert swept_best <= best_p * (1 + 1e-12)
             optimum_bits = best_cfg.phases[list(idx)]
-            in_book = any(np.array_equal(w, optimum_bits) for w in cb.codewords)
+            in_book = any(np.array_equal(w, optimum_bits) for w in cb)
             if in_book:
                 assert swept_best == best_p
 
     def test_empty_codebook_rejected(self):
         with pytest.raises(ValueError):
-            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), Codebook(()), seed=0)
+            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), np.zeros((0, 2)), seed=0)
 
     def test_codeword_length_mismatch_rejected(self):
         # a one-element codeword would otherwise broadcast over the partition
         with pytest.raises(ValueError):
-            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), Codebook((np.zeros(1),)), seed=0)
+            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), np.zeros((1, 1)), seed=0)
+        with pytest.raises(ValueError):
+            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), np.zeros(2), seed=0)
+
+    def test_non_binary_codeword_rejected(self):
+        with pytest.raises(ValueError, match="0 and pi"):
+            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), np.array([[0.0, 1.0]]), seed=0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 12345])
+    @pytest.mark.parametrize("size, count", [(3, 1), (5, 63), (127, 64), (128, 65), (255, 130),
+                                             (2048, 1023)])
+    def test_padding_blocks_draw_like_rows(self, seed, size, count):
+        # the padding the sweep drew one row per generator call
+        rng = np.random.default_rng(seed)
+        rows = [np.where(rng.integers(0, 2, size) == 1, PI, 0.0) for _ in range(count)]
+        blocked = list(_padding(np.random.default_rng(seed), count, size))
+        assert np.array_equal(blocked, rows)
+
+    def test_padded_trials_are_the_seeded_rows(self):
+        cb = binary_dft_codebook(8)
+        measured = []
+
+        def recording(phases):
+            measured.append(phases[list(upper(16))].copy())
+            return float(phases.sum())
+
+        dft_sweep(recording, zero_config(16), upper(16), cb, seed=4)
+        rng = np.random.default_rng(4)
+        pads = [np.where(rng.integers(0, 2, 8) == 1, PI, 0.0) for _ in range(8 - len(cb))]
+        assert np.array_equal(measured, [*cb, *pads])
 
     def test_budget_padding_deterministic(self, table_scenario, table_channels):
         oracle = cs_power_at_bob(table_scenario, table_channels)
@@ -287,10 +317,11 @@ class TestReceivedPowerOracle:
         phases[1] = PI
         assert oracle(phases) == cs_power_at_bob(sc, ch)(phases) != before
 
-    # N = 256: every iterative trial after each oracle's first call is a flip
-    # (2 partition sums for each of the two first calls); every DFT codeword
-    # is measured in full (2 partition sums per call).
-    @pytest.mark.parametrize("algorithm, sums, calls", [("iterative", 4, 258), ("dft", 512, 256)])
+    # N = 256: every iterative trial after each oracle's first call is a flip;
+    # every DFT codeword is measured in full. All phases are 0 or pi, so the
+    # full measurements are summed from the two-state tables and no call
+    # reaches coherent_sum.
+    @pytest.mark.parametrize("algorithm, sums, calls", [("iterative", 0, 258), ("dft", 0, 256)])
     def test_flip_and_full_path_counts(self, table_scenario, table_channels, monkeypatch,
                                        algorithm, sums, calls):
         summed, oracles = [], []
@@ -307,15 +338,68 @@ class TestReceivedPowerOracle:
         monkeypatch.setattr(_kernels, "coherent_sum", counting_sum)
         monkeypatch.setattr(ReceivedPowerOracle, "__init__", register)
         optimized_config(table_scenario, table_channels, algorithm, seed=1)
-        assert len(summed) == sums and set(summed) == {128}
+        assert summed == [128] * sums
         assert len(oracles) == 2 and sum(o.calls for o in oracles) == calls
+
+    def test_full_path_sums_only_changed_non_binary_partitions(self, table_scenario, table_channels,
+                                                                monkeypatch):
+        sc, ch = table_scenario, table_channels
+        summed = []
+        coherent_sum = _kernels.coherent_sum
+
+        def counting_sum(*args):
+            summed.append(len(args[0]))
+            return coherent_sum(*args)
+
+        monkeypatch.setattr(_kernels, "coherent_sum", counting_sum)
+        oracle = cs_power_at_bob(sc, ch)
+        rb, re = list(ch.bob_indices), list(ch.eve_indices)
+        rng = np.random.default_rng(3)
+        phases = np.zeros(256)
+        steps = [
+            (None, None, []),            # first call: both partitions binary
+            (rb, 0.5, [128]),            # r_b not binary, r_e unchanged
+            (re, "codeword", []),        # r_e binary from the tables, r_b kept
+            (rb, "codeword", []),        # r_b binary again, r_e kept
+            (re, 2.0, [128]),
+        ]
+        for part, value, sums in steps:
+            if part is not None:
+                phases[part] = rng.choice([0.0, PI], 128) if value == "codeword" else value
+            summed.clear()
+            got = oracle(phases)
+            assert summed == sums
+            summed.clear()
+            assert got == _reference_power(sc, ch, "s", "b", phases)
+
+    def test_equals_coherent_sum_reference(self, table_scenario, table_channels):
+        # A fresh oracle's full measurement, table-summed when binary, equals
+        # the coherent_sum composition bit for bit, signed zeros included.
+        sc, ch = table_scenario, table_channels
+        rng = np.random.default_rng(17)
+        for values in ([0.0, PI], [-0.0, PI], [0.0, -0.0, PI], [0.0, PI, 1.0]):
+            phases = rng.choice(values, 256)
+            for src, user in (("s", "b"), ("a", "e"), ("s", "e"), ("a", "b")):
+                oracle = ReceivedPowerOracle(sc, ch, "cs" if src == "s" else "an",
+                                             "bob" if user == "b" else "eve")
+                assert oracle(phases) == _reference_power(sc, ch, src, user, phases)
+
+
+def _reference_power(sc, ch, src, user, phases) -> float:
+    """Received power composed from cascaded_gain, which sums through coherent_sum."""
+    powers = []
+    for part in ("rb", "re"):
+        path = ch.paths[(src, part, user)]
+        g = cascaded_gain(path, phases)
+        powers.append(sc.pt_watts * path.path_loss * (g.real * g.real + g.imag * g.imag))
+    return 0.0 + powers[0] + powers[1]
 
 
 # One caller step: (kind, element or seed, value). "flip" toggles an element
 # between 0 and pi, "reject" toggles it and restores it after the call (so the
 # next call sees the revert and its own change), "codeword" writes seeded
-# binary phases over a whole partition, "set" writes `value`, which may be
-# non-binary or a signed zero.
+# binary phases over a whole partition (its zeros are -0.0 when `value` is),
+# "set" writes `value`, which may be non-binary or a signed zero.
 _STEPS = st.lists(
     st.tuples(st.sampled_from(["flip", "reject", "codeword", "set"]), st.integers(0, 2**16),
               st.sampled_from([0.0, PI, -0.0, 1.0, 2.0 * PI, -PI])),
@@ -364,6 +448,24 @@ class TestFlipAwareOracle:
     @example(seed=11, shape=(2, 2), link=("cs", "bob"),
              steps=[("flip", 3, 0.0), ("reject", 1, 0.0), ("set", 3, 2.0), ("flip", 1, 0.0),
                     ("set", 3, PI), ("flip", 0, 0.0)])
+    # On a 4x6 panel columns 0-2 form r_e (elements 0, 1, 2, 6, 7, 8, ...) and
+    # columns 3-5 r_b. Each codeword changes more than two elements of one
+    # partition while the other keeps its phases, power and term array; the
+    # flips after it patch the table-summed terms and the kept ones.
+    @example(seed=12, shape=(4, 6), link=("cs", "bob"),
+             steps=[("flip", 0, 0.0), ("codeword", 7, 0.0), ("flip", 1, 0.0),
+                    ("codeword", 9, 0.0), ("flip", 3, 0.0), ("flip", 2, 0.0)])
+    # A binary codeword over r_b after element 3 of r_b was set to 1.0 (a full
+    # call that left r_b without a term array), then one over r_b while r_e
+    # holds 1.0 and is kept; the last flip makes r_e binary again.
+    @example(seed=13, shape=(4, 6), link=("an", "eve"),
+             steps=[("set", 3, 1.0), ("codeword", 7, 0.0), ("flip", 4, 0.0),
+                    ("set", 0, 1.0), ("codeword", 9, 0.0), ("flip", 0, 0.0)])
+    # Codewords holding -0.0: table-summed as 0, equal to 0.0 in the change
+    # test, so the last codeword, the same bits with +0.0, is a flip trial.
+    @example(seed=14, shape=(4, 6), link=("cs", "eve"),
+             steps=[("codeword", 7, -0.0), ("flip", 3, 0.0), ("codeword", 8, -0.0),
+                    ("reject", 4, 0.0), ("codeword", 7, 0.0)])
     def test_matches_a_fresh_oracle(self, seed, shape, link, steps):
         rng = np.random.default_rng(seed)
         sc = make_random_scenario(rng, *shape)
@@ -390,7 +492,8 @@ class TestFlipAwareOracle:
                 phases[e] = PI if kept == 0.0 else 0.0
             elif kind == "codeword":
                 idx = list(ch.partition("rb" if k % 2 else "re"))
-                phases[idx] = np.random.default_rng(k).choice([0.0, PI], len(idx))
+                zero = value if value == 0.0 else 0.0
+                phases[idx] = np.random.default_rng(k).choice([zero, PI], len(idx))
             else:
                 phases[e] = value
             measure()

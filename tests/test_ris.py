@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from risjam.ris import (
-    Codebook,
     PhaseConfig,
     binary_dft_codebook,
     load_phase_config,
@@ -98,17 +97,28 @@ def _quantize_row_oracle(k: int, m: int) -> np.ndarray:
     return np.array(row)
 
 
+def _per_row_codebook(m: int) -> np.ndarray:
+    """The per-row loop the array codebook replaced: every row k < m, deduplicated by bytes."""
+    n = np.arange(m, dtype=np.int64)
+    seen, words = set(), []
+    for k in range(m):
+        r4 = 4 * ((k * n) % m)
+        row = np.where((m < r4) & (r4 < 3 * m), PI, 0.0)
+        if row.tobytes() not in seen:
+            seen.add(row.tobytes())
+            words.append(row)
+    return np.array(words)
+
+
 class TestBinaryDftCodebook:
     def test_m2(self):
         cb = binary_dft_codebook(2)
-        assert len(cb) == 2
-        np.testing.assert_array_equal(cb.codewords[0], [0.0, 0.0])
-        np.testing.assert_array_equal(cb.codewords[1], [0.0, PI])
+        np.testing.assert_array_equal(cb, [[0.0, 0.0], [0.0, PI]])
 
     def test_m4_hand_quantized(self):
         # rows 1 and 3 of the 4-point DFT quantize identically, so < 4 remain
         cb = binary_dft_codebook(4)
-        words = {tuple(w) for w in cb.codewords}
+        words = {tuple(w) for w in cb.tolist()}
         assert len(cb) == 3
         assert (0.0, 0.0, 0.0, 0.0) in words
         assert (0.0, PI, 0.0, PI) in words
@@ -126,7 +136,7 @@ class TestBinaryDftCodebook:
                 seen.add(key)
                 expected.append(row)
         assert len(cb) == len(expected)
-        for got, want in zip(cb.codewords, expected):
+        for got, want in zip(cb, expected):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64])
@@ -138,28 +148,32 @@ class TestBinaryDftCodebook:
             if row.tobytes() not in seen:
                 seen.add(row.tobytes())
                 expected.append(row)
-        got = binary_dft_codebook(m).codewords
+        got = binary_dft_codebook(m)
         assert [w.tobytes() for w in got] == [w.tobytes() for w in expected]
+
+    @pytest.mark.parametrize("m", [2 ** e for e in range(13)])
+    def test_matches_per_row_loop(self, m):
+        got, want = binary_dft_codebook(m), _per_row_codebook(m)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [2, 8, 32, 256])
     def test_dc_codeword_first_and_all_binary(self, m):
         cb = binary_dft_codebook(m)
-        assert np.all(cb.codewords[0] == 0.0)
-        keys = set()
-        for w in cb.codewords:
-            assert np.all((w == 0.0) | (w == PI))
-            keys.add(w.tobytes())
-        assert len(keys) == len(cb)
+        assert cb.shape[1] == m
+        assert np.all(cb[0] == 0.0)
+        assert np.all((cb == 0.0) | (cb == PI))
+        assert len({w.tobytes() for w in cb}) == len(cb)
         assert len(cb) <= m
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            binary_dft_codebook(8)[1, 0] = 0.0
 
     def test_non_power_of_two_rejected(self):
         for bad in (0, 3, 6, 12):
             with pytest.raises(ValueError):
                 binary_dft_codebook(bad)
-
-    def test_codebook_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            Codebook((np.zeros(4), np.zeros(4)))
 
 
 class TestOnDiskFormat:
