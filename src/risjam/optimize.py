@@ -103,6 +103,7 @@ class ReceivedPowerOracle:
             pos[path.indices] = np.arange(path.indices.size)
         # one (partition, position) look-up per element
         self._where = list(zip(part.tolist(), pos.tolist()))
+        self._in_first = part == 0
 
     def __call__(self, phases: np.ndarray) -> float:
         if type(phases) is not np.ndarray:
@@ -111,10 +112,11 @@ class ReceivedPowerOracle:
             raise ValueError("phase vector length does not match the channel set")
         self.calls += 1
         last, powers = self._last, self._powers
-        changed = None
+        keep = (False, False)  # whether each partition keeps its phases from the last vector
         if last is not None:
             changed = phases != last
-            if np.count_nonzero(changed) <= 2:
+            count = np.count_nonzero(changed)
+            if count <= 2:
                 # A flip trial. Any element that cannot be patched (in neither
                 # partition, not binary, or in a partition that is not binary
                 # and has no term array) breaks out to the full measurement,
@@ -143,10 +145,13 @@ class ReceivedPowerOracle:
                             g = complex(np.add.reduce(terms[k]))
                             powers[k] = self._scales[k] * (g.real * g.real + g.imag * g.imag)
                     return 0.0 + powers[0] + powers[1]
-                changed = None  # partly patched: measure every partition
+            else:
+                # Partition 1 keeps its phases when every change lies in partition 0.
+                first = np.count_nonzero(changed & self._in_first)
+                keep = (first == 0, first == count)
         for k, path in enumerate(self._paths):
-            if changed is not None and not changed[path.indices].any():
-                continue  # same phases as the last vector: its power and terms hold
+            if keep[k]:
+                continue  # its power and term array still hold
             theta = phases[path.indices]
             t = self._start(k, theta)
             if t is None:
@@ -280,7 +285,7 @@ def _padding(rng: np.random.Generator, count: int, size: int):
     """`count` seeded uniform-random binary codewords of `size` phases, drawn in blocks."""
     for start in range(0, count, _PADDING_BLOCK):
         bits = rng.integers(0, 2, (min(_PADDING_BLOCK, count - start), size))
-        yield from np.where(bits == 1, PI, 0.0)
+        yield from bits * PI
 
 
 def exhaustive_search(

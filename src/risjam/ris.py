@@ -13,7 +13,7 @@ PI = math.pi
 
 def is_binary(values: np.ndarray) -> bool:
     """Whether every phase is one of the two element states, 0 (mirror) or pi."""
-    return bool(np.all((values == 0.0) | (values == PI)))
+    return np.count_nonzero(values == 0.0) + np.count_nonzero(values == PI) == np.size(values)
 
 
 def _check_binary(values: np.ndarray, what: str) -> None:
@@ -107,7 +107,7 @@ def binary_dft_codebook(m: int) -> np.ndarray:
     first: dict[bytes, int] = {}  # row bits -> first row holding them, in row order
     for k, row in enumerate(np.packbits(bits, axis=1)):
         first.setdefault(row.tobytes(), k)
-    words = np.where(bits[list(first.values())], PI, 0.0)
+    words = bits[list(first.values())] * PI
     words.setflags(write=False)
     return words
 
