@@ -251,9 +251,10 @@ def dft_sweep(
     """
     idx = np.array(indices)
     budget = len(idx)
-    if np.ndim(codebook) != 2 or len(codebook) == 0:
+    codebook = np.asarray(codebook, dtype=float)
+    if codebook.ndim != 2 or len(codebook) == 0:
         raise ValueError("codebook must be a non-empty 2-D array, one codeword per row")
-    if np.shape(codebook)[1] != budget:
+    if codebook.shape[1] != budget:
         raise ValueError(f"codewords must hold {budget} phases, one per partition element")
     if not is_binary(codebook):
         raise ValueError("codewords must contain only the phases 0 and pi")
