@@ -361,7 +361,7 @@ class TestReceivedPowerOracle:
             (rb, 0.5, [128]),            # r_b not binary, r_e unchanged
             (re, "codeword", []),        # r_e binary from the tables, r_b kept
             (rb, "codeword", []),        # r_b binary again, r_e kept
-            (re, 2.0, [128]),
+            (re, 2.0, [128]),            # r_e not binary, r_b kept
         ]
         for part, value, sums in steps:
             if part is not None:
