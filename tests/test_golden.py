@@ -6,20 +6,32 @@ moves any digit of any CSV, or flips a tie in a search, fails here. The
 channel digests pin the full-precision amplitude and phase arrays and the
 path-loss products, which the CSVs round to 9 significant digits; the search
 digests, capacity-ratio values and power-split solutions do the same for the
-optimizer traces, the power-split bisection and the constrained solve.
+optimizer traces, the power-split bisection and the constrained solve. The
+sweep references hold the two power-split commands, row by row at full
+precision, to a reference loop that evaluates every point on its own, and the
+panel digests pin their bytes on a 64x64 panel.
 """
 
 import hashlib
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from risjam import harness
 from risjam.channel import build_channel_set
-from risjam.harness import main, optimized_config
+from risjam.harness import main, optimized_config, parse_pt_sweep
 from risjam.optimize import capacity_ratio_alpha, optimize_alpha
-from risjam.scene import load_scenario, scenario_hash
-from risjam.secrecy import SecrecyThresholds
+from risjam.ris import save_phase_config, zero_config
+from risjam.scene import load_scenario, save_scenario, scenario_hash
+from risjam.secrecy import (
+    PowerSplit,
+    SecrecyThresholds,
+    beta_terms,
+    capacity_report,
+    capacity_report_row,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO = str(ROOT / "scenarios" / "default.scn")
@@ -149,3 +161,88 @@ def test_optimize_alpha_exact(algorithm, eta):
 
 def test_bundled_file_is_default_scenario():
     assert scenario_hash(load_scenario(SCENARIO)) == "959394160b8a24e5"
+
+
+def written_rows(monkeypatch, argv):
+    """Run one command and return its exit code and the rows it hands to write_csv, unrounded."""
+    rows = []
+    monkeypatch.setattr(harness, "write_csv",
+                        lambda path, columns, data, sc, seed: rows.extend(data))
+    return main(argv), rows
+
+
+# -30, -10, ..., 150 dBm: the README's sweep ends and the transmit-power cap.
+PT_SWEEP = "-30:20:150"
+
+
+@pytest.mark.parametrize("eta", [0.01, 0.1])
+@pytest.mark.parametrize("algorithm", ["iterative", "dft"])
+def test_sweep_power_rows_match_per_point_solves(algorithm, eta, monkeypatch, tmp_path):
+    sc = load_scenario(SCENARIO)
+    ch = build_channel_set(sc)
+    cfg, _ = optimized_config(sc, ch, algorithm, seed=1)
+    th = SecrecyThresholds.from_eta(10.0 ** (2.2 / 10.0), eta)
+    rc, rows = written_rows(monkeypatch, [
+        "sweep-power", "--scenario", SCENARIO, "--out", str(tmp_path / "power.csv"),
+        "--algorithm", algorithm, "--seed", "1", *ETA, str(eta), f"--pt-sweep={PT_SWEEP}"])
+    points = parse_pt_sweep(PT_SWEEP)
+    assert {-30.0, 10.0, 150.0} <= set(points)
+    expected = []
+    for p in points:
+        sol = optimize_alpha(replace(sc, pt_dbm=p), ch, cfg, th, 1001)
+        r = sol.report
+        expected.append((p, sol.alpha1, sol.feasible, r.c_bob, r.c_eve, r.c_secrecy))
+    assert rc == 0
+    assert repr(rows) == repr(expected)
+
+
+@pytest.mark.parametrize("algorithm", ["iterative", "dft"])
+def test_sweep_alpha_rows_match_per_alpha_beta_terms(algorithm, monkeypatch, tmp_path):
+    sc = load_scenario(SCENARIO)
+    ch = build_channel_set(sc)
+    cfg, _ = optimized_config(sc, ch, algorithm, seed=1)
+    rc, rows = written_rows(monkeypatch, [
+        "sweep-alpha", "--scenario", SCENARIO, "--out", str(tmp_path / "alpha.csv"),
+        "--algorithm", algorithm, "--seed", "1", "--alpha-grid", "101", "--include-zero"])
+    expected = []
+    for config, label in ((cfg, algorithm), (zero_config(ch.n_elements), "zero")):
+        for a in np.linspace(0.0, 1.0, 101):
+            report = capacity_report(beta_terms(sc, ch, config, PowerSplit.of(float(a))))
+            row = capacity_report_row(float(a), report)
+            cb, ce = float(f"{row[1]:.9g}"), float(f"{row[2]:.9g}")
+            expected.append((*row[:3], max(cb - ce, 0.0), *row[4:], label))
+    assert rc == 0
+    assert repr(rows) == repr(expected)
+
+
+# sha256 of each sweep's CSV on the bundled scene with a 64x64 panel, from the
+# seed-1 DFT config passed with --config (the benchmark's panel-cli sweeps).
+PANEL_SWEEP_DIGESTS = {
+    "sweep-alpha": (("sweep-alpha", "--seed", "1"),
+                    "afd33ba66ec222c4f2af34ecc95d172a1721ff6c7915359713dbc2826f62b1bf"),
+    "sweep-power-eta1": (("sweep-power", "--seed", "1", *ETA, "0.01"),
+                         "ae43ec7d2b63b2dfa12718378f1dd11b99e52d973997ac2142d12fa9c6a3d919"),
+    "sweep-power-eta10": (("sweep-power", "--seed", "1", *ETA, "0.1"),
+                          "487aa12cf1abd84188946f4aa32a21953992aa7579e6b868e2ee8ae3607c1a19"),
+}
+
+
+@pytest.fixture(scope="module")
+def panel64(tmp_path_factory):
+    """A 64x64 scenario file and its seed-1 DFT config file."""
+    work = tmp_path_factory.mktemp("panel64")
+    sc = scene(64)
+    cfg, _ = optimized_config(sc, build_channel_set(sc), "dft", seed=1)
+    save_scenario(sc, work / "panel64.scn")
+    save_phase_config(cfg, work / "opt.config.txt")
+    return work
+
+
+@pytest.mark.parametrize("name", sorted(PANEL_SWEEP_DIGESTS))
+def test_panel_sweep_digest(name, panel64, tmp_path):
+    (command, *options), digest = PANEL_SWEEP_DIGESTS[name]
+    out = tmp_path / "out.csv"
+    rc = main([command, "--scenario", str(panel64 / "panel64.scn"), "--out", str(out),
+               "--config", str(panel64 / "opt.config.txt"), *options])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
