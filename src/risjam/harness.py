@@ -10,24 +10,26 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .channel import CHANNEL_DUMP_COLUMNS, ChannelSet, build_channel_set, channel_dump_rows
 from .optimize import (
+    LinkCouplings,
     an_power_at_eve,
     cs_power_at_bob,
     dft_sweep,
     iterative_optimize,
     optimize_alpha,
+    solve_split,
 )
 from .ris import PhaseConfig, binary_dft_codebook, load_phase_config, save_phase_config, set_partition, zero_config
 from .scene import (
     MAX_PT_DBM,
     ScenarioConfig,
     ScenarioFormatError,
+    dbm_to_watts,
     load_scenario,
     scenario_hash,
     watts_to_dbm,
@@ -36,9 +38,10 @@ from .secrecy import (
     CAPACITY_REPORT_COLUMNS,
     PowerSplit,
     SecrecyThresholds,
-    beta_terms,
     capacity_report,
     capacity_report_row,
+    link_powers,
+    path_gains,
 )
 
 ALGORITHMS = ("iterative", "dft", "zero")
@@ -109,7 +112,7 @@ def write_csv(path, columns, rows, sc: ScenarioConfig, seed: int) -> None:
         fh.write(f"# scenario_sha256={scenario_hash(sc)} seed={seed} version={__version__}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join([format(v, ".9g") if type(v) is float else _fmt(v) for v in row]) + "\n")
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[ScenarioConfig, ChannelSet]:
@@ -145,11 +148,13 @@ def run_sweep_alpha(args: argparse.Namespace) -> int:
     sc, ch = _load_inputs(args)
     cfg = _phases_for(args, sc, ch)
     alphas = np.linspace(0.0, 1.0, args.alpha_grid)
+    powers = (sc.pt_watts, sc.noise_bob_watts, sc.noise_eve_watts)
     rows = []
 
     def block(config: PhaseConfig, label: str):
+        gains = path_gains(ch, config)
         for a in alphas:
-            report = capacity_report(beta_terms(sc, ch, config, PowerSplit.of(float(a))))
+            report = capacity_report(link_powers(ch, gains, *powers, PowerSplit.of(float(a))))
             row = capacity_report_row(float(a), report)
             # Re-derive c_secrecy from the capacities as they will appear in
             # the file, so every row verifies exactly from its own columns.
@@ -174,16 +179,18 @@ def _thresholds(args: argparse.Namespace) -> SecrecyThresholds:
 def run_sweep_power(args: argparse.Namespace) -> int:
     """Optimal power split and capacities across a transmit-power sweep.
 
-    Phases are optimized once (the binary-phase argmax does not depend on the
-    transmit power) and reused at every sweep point.
+    Phases are optimized and their path gains evaluated once (the
+    binary-phase argmax does not depend on the transmit power); each sweep
+    point solves the split from those gains at its own transmit power.
     """
     th = _thresholds(args)
     sc, ch = _load_inputs(args)
-    cfg = _phases_for(args, sc, ch)
+    gains = path_gains(ch, _phases_for(args, sc, ch))
     rows = []
     any_feasible = False
     for pt in args.pt_sweep:
-        sol = optimize_alpha(replace(sc, pt_dbm=float(pt)), ch, cfg, th, args.alpha_grid)
+        model = LinkCouplings(ch, gains, dbm_to_watts(pt), sc.noise_bob_watts, sc.noise_eve_watts)
+        sol = solve_split(model, th, args.alpha_grid)
         any_feasible = any_feasible or sol.feasible
         rows.append(
             (float(pt), sol.alpha1, sol.feasible,
@@ -241,6 +248,10 @@ def parse_pt_sweep(text: str) -> tuple[float, ...]:
     if powers[-1] > MAX_PT_DBM:
         raise argparse.ArgumentTypeError(
             f"{text!r} reaches {powers[-1]!r} dBm, above the transmit-power cap of {MAX_PT_DBM} dBm")
+    # Powers rise from the first point, which is the only one that can round to 0 W.
+    if not 0.0 < dbm_to_watts(powers[0]) < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} starts at {powers[0]!r} dBm, which has no finite positive power in watts")
     return powers
 
 

@@ -24,6 +24,7 @@ from .ris import PI, PhaseConfig, is_binary, set_partition
 from .scene import ScenarioConfig
 from .secrecy import (
     CapacityReport,
+    LinkPowers,
     PowerSplit,
     SecrecyThresholds,
     capacity_report,
@@ -95,7 +96,7 @@ class ReceivedPowerOracle:
         self._powers = [0.0, 0.0]  # each partition's power at _last
         self._terms = [None, None]  # each partition's term array at _last, None if not binary
         self._tables = [None, None]  # each partition's (theta=0, theta=pi) term arrays
-        self._states = [None, None]  # the same two tables as lists of Python complexes
+        self._states = [None, None]  # the same tables as Python lists, built at the first flip trial
         part = np.full(self._n, -1)  # each element's partition, -1 for neither
         pos = np.zeros(self._n, dtype=np.intp)  # and its position in it
         for k, path in enumerate(paths):
@@ -130,11 +131,13 @@ class ReceivedPowerOracle:
                     t = terms[k]
                     if t is None and (t := self._start(k, phases[self._paths[k].indices])) is None:
                         break
+                    if (s := states[k]) is None:  # the partition's first flip trial
+                        s = states[k] = tuple(table.tolist() for table in self._tables[k])
                     v = item(e)
                     if v == PI:
-                        t[i] = states[k][1][i]
+                        t[i] = s[1][i]
                     elif v == 0.0:
-                        t[i] = states[k][0][i]
+                        t[i] = s[0][i]
                     else:
                         break
                     last[e] = v
@@ -171,7 +174,6 @@ class ReceivedPowerOracle:
             path = self._paths[k]
             t0, tpi = (path.amplitude * np.exp(-1j * (path.phase + t)) for t in (0.0, PI))
             self._tables[k] = (t0, tpi)
-            self._states[k] = (t0.tolist(), tpi.tolist())
         t0, tpi = self._tables[k]
         terms = self._terms[k] = np.where(theta == PI, tpi, t0)
         return terms
@@ -329,25 +331,28 @@ class AllocationSolution:
     binding: str
 
 
-class _AlphaResponse:
-    """SINRs and capacities as functions of alpha1, from the configuration's path gains.
+class LinkCouplings:
+    """SINRs and capacities of one configuration at one transmit power, as functions of alpha1.
 
-    The eight gains are evaluated once and kept in `gains`, so the couplings
-    and the reported solution reuse them. The couplings are the received
-    powers at full transmit power: x_* for the communication signal, y_* for
-    the artificial noise, at Bob and Eve.
+    Built from the eight path gains (path_gains) and the transmit and noise
+    powers in watts. The couplings are the received powers at full transmit
+    power: x_* for the communication signal, y_* for the artificial noise, at
+    Bob and Eve. `powers` scales the same gains to one split (link_powers).
     """
 
-    def __init__(self, sc: ScenarioConfig, ch: ChannelSet, cfg: PhaseConfig):
-        self.gains = gains = path_gains(ch, cfg)
-        cs = link_powers(sc, ch, gains, PowerSplit(1.0, 0.0)).beta
-        an = link_powers(sc, ch, gains, PowerSplit(0.0, 1.0)).beta
+    def __init__(self, ch: ChannelSet, gains, pt: float, noise_bob: float, noise_eve: float):
+        self._link = (ch, gains, pt, noise_bob, noise_eve)
+        cs = link_powers(*self._link, PowerSplit(1.0, 0.0)).beta
+        an = link_powers(*self._link, PowerSplit(0.0, 1.0)).beta
         self.x_b = cs[0] ** 2 + cs[1] ** 2
         self.y_b = an[2] ** 2 + an[3] ** 2
         self.x_e = cs[6] ** 2 + cs[7] ** 2
         self.y_e = an[4] ** 2 + an[5] ** 2
-        self.noise_bob = sc.noise_bob_watts
-        self.noise_eve = sc.noise_eve_watts
+        self.noise_bob, self.noise_eve = noise_bob, noise_eve
+
+    def powers(self, alpha1: float) -> LinkPowers:
+        """The eight amplitudes at the split (alpha1, 1 - alpha1)."""
+        return link_powers(*self._link, PowerSplit.of(alpha1))
 
     def sinrs(self, alpha1):
         a = np.asarray(alpha1, dtype=float)
@@ -432,6 +437,12 @@ def optimize_alpha(
     th: SecrecyThresholds,
     grid: int,
 ) -> AllocationSolution:
+    """solve_split for cfg at the scenario's transmit and noise powers."""
+    model = LinkCouplings(ch, path_gains(ch, cfg), sc.pt_watts, sc.noise_bob_watts, sc.noise_eve_watts)
+    return solve_split(model, th, grid)
+
+
+def solve_split(model: LinkCouplings, th: SecrecyThresholds, grid: int) -> AllocationSolution:
     """Maximize secrecy capacity over alpha1 subject to the SINR corridor.
 
     Scans a uniform grid on [0, 1], keeps the feasible maximizer and refines
@@ -442,14 +453,13 @@ def optimize_alpha(
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
-    model = _AlphaResponse(sc, ch, cfg)
     alphas = np.linspace(0.0, 1.0, grid)
     feas = model.feasibility(alphas, th)
 
     if not feas.any():
         worst = model.violation(alphas, th)
         alpha = float(alphas[int(np.argmin(worst))])
-        return _finish(sc, ch, model.gains, th, alpha, feasible=False)
+        return _finish(model, th, alpha, feasible=False)
 
     cs = model.secrecy(alphas)
     cs = np.where(feas, cs, -np.inf)
@@ -473,12 +483,11 @@ def optimize_alpha(
     refined = _golden_max(lambda a: float(model.secrecy(a)), lo, hi, ALPHA_TOL)
     candidates = [best_a, refined, lo, hi]
     alpha = max(candidates, key=lambda a: float(model.secrecy(a)))
-    return _finish(sc, ch, model.gains, th, alpha, feasible=True)
+    return _finish(model, th, alpha, feasible=True)
 
 
-def _finish(sc, ch, gains, th, alpha: float, feasible: bool) -> AllocationSolution:
-    lp = link_powers(sc, ch, gains, PowerSplit.of(alpha))
-    report = capacity_report(lp)
+def _finish(model: LinkCouplings, th, alpha: float, feasible: bool) -> AllocationSolution:
+    report = capacity_report(model.powers(alpha))
     return AllocationSolution(
         alpha1=alpha,
         feasible=feasible,
@@ -503,7 +512,7 @@ def capacity_ratio_alpha(
         raise ValueError("ratio must lie strictly between 0 and 1")
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
-    model = _AlphaResponse(sc, ch, cfg)
+    model = LinkCouplings(ch, path_gains(ch, cfg), sc.pt_watts, sc.noise_bob_watts, sc.noise_eve_watts)
 
     def ok(alpha) -> np.ndarray:
         sb, se = model.sinrs(alpha)

@@ -134,27 +134,29 @@ def path_gains(ch: ChannelSet, cfg: PhaseConfig) -> list[float]:
     return [abs(cascaded_gain(ch.paths[key], cfg.phases)) for key in BETA_PATHS]
 
 
-def link_powers(sc: ScenarioConfig, ch: ChannelSet, gains, split: PowerSplit) -> LinkPowers:
+def link_powers(ch: ChannelSet, gains, pt: float, noise_bob: float, noise_eve: float,
+                split: PowerSplit) -> LinkPowers:
     """Scale the path gains of one configuration to the eight amplitudes of a power split.
 
-    beta_k = sqrt(alpha_src * P_t * L_path) * gains[k], with alpha_src =
-    alpha1 for communication-signal paths and alpha2 for noise paths.
+    beta_k = sqrt(alpha_src * pt * L_path) * gains[k], with alpha_src =
+    alpha1 for communication-signal paths and alpha2 for noise paths. pt and
+    the two receiver noise powers are in watts.
     """
-    pt = sc.pt_watts
     beta = np.empty(8)
     for k, key in enumerate(BETA_PATHS):
         alpha = split.alpha1 if key[0] == "s" else split.alpha2
         beta[k] = math.sqrt(alpha * pt * ch.paths[key].path_loss) * gains[k]
-    return LinkPowers(beta=beta, noise_bob=sc.noise_bob_watts, noise_eve=sc.noise_eve_watts)
+    return LinkPowers(beta=beta, noise_bob=noise_bob, noise_eve=noise_eve)
 
 
 def beta_terms(sc: ScenarioConfig, ch: ChannelSet, cfg: PhaseConfig, split: PowerSplit) -> LinkPowers:
     """Evaluate the eight component amplitudes for one configuration and power split.
 
     beta_k = sqrt(alpha_src * P_t * L_path) * |cascaded gain of the partition|:
-    link_powers applied to path_gains.
+    link_powers applied to path_gains at the scenario's powers.
     """
-    return link_powers(sc, ch, path_gains(ch, cfg), split)
+    return link_powers(ch, path_gains(ch, cfg), sc.pt_watts, sc.noise_bob_watts, sc.noise_eve_watts,
+                       split)
 
 
 def _ratio(signal: float, interference: float) -> float:

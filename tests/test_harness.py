@@ -107,7 +107,7 @@ class TestParsePtSweep:
 
     def test_point_cap(self):
         last = MAX_PT_SWEEP_POINTS - 1
-        assert len(parse_pt_sweep(f"{-last}:1:0")) == MAX_PT_SWEEP_POINTS
+        assert len(parse_pt_sweep(f"{-last // 100}:0.01:0")) == MAX_PT_SWEEP_POINTS
         with pytest.raises(argparse.ArgumentTypeError, match=f"{MAX_PT_SWEEP_POINTS + 1} points"):
             parse_pt_sweep(f"{-last - 1}:1:0")
 
@@ -118,6 +118,12 @@ class TestParsePtSweep:
         for bad in ("140:10:160", "145:10:160", "150.5:1:150.5"):
             with pytest.raises(argparse.ArgumentTypeError, match="cap of 150.0 dBm"):
                 parse_pt_sweep(bad)
+
+    def test_point_without_a_positive_power(self):
+        # 10 ** ((p - 30) / 10) rounds to 0.0 below about -3200 dBm
+        assert parse_pt_sweep("-3000:1000:0")[0] == -3000.0
+        with pytest.raises(argparse.ArgumentTypeError, match=r"-4000\.0 dBm"):
+            parse_pt_sweep("-4000:1000:0")
 
 
 class TestParseAlphaGrid:
@@ -295,6 +301,21 @@ class TestSweepPowerCommand:
         assert not out.exists() and built == []
         assert "--pt-sweep" in err and "160.0 dBm" in err and "150.0 dBm" in err
 
+    def test_pt_sweep_point_without_a_power_is_input_error(self, tiny_scenario_file, tmp_path, capsys,
+                                                           monkeypatch):
+        # rejected while parsing: no channel is built and no phase is optimized
+        import risjam.harness as harness
+
+        built = []
+        monkeypatch.setattr(harness, "build_channel_set", lambda sc: built.append(sc))
+        out = tmp_path / "x.csv"
+        rc = main(["sweep-power", "--scenario", tiny_scenario_file, "--out", str(out),
+                   "--eta", "0.01", "--gamma-bob-db", "2.2", "--pt-sweep=-4000:1000:0"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT_ERROR
+        assert not out.exists() and built == []
+        assert "--pt-sweep" in err and "-4000.0 dBm" in err
+
     def test_eta_one_recovers_unconstrained_argmax(self, scenario_file, tmp_path):
         from risjam.optimize import optimize_alpha
         from risjam.secrecy import SecrecyThresholds
@@ -311,6 +332,49 @@ class TestSweepPowerCommand:
         free = optimize_alpha(replace(sc, pt_dbm=10.0), ch, cfg,
                               SecrecyThresholds(0.0, float("inf")), 501)
         assert float(rows[0]["alpha1"]) == pytest.approx(free.alpha1, abs=2e-3)
+
+
+class TestPathGainsOncePerConfig:
+    """The power-split commands evaluate a configuration's eight path gains once, not per point."""
+
+    @pytest.fixture
+    def counts(self, scenario_file, tmp_path, monkeypatch):
+        import risjam.secrecy as secrecy
+        from risjam.scene import ScenarioConfig
+
+        config = str(tmp_path / "opt")
+        assert main(["optimize-phases", "--scenario", scenario_file, "--out", config]) == EXIT_OK
+        counts = {"gains": 0, "scenarios": 0, "config": config + ".config.txt"}
+        gain, init = secrecy.cascaded_gain, ScenarioConfig.__init__
+
+        def counting_gain(*args):
+            counts["gains"] += 1
+            return gain(*args)
+
+        def counting_init(self, *args, **kwargs):
+            counts["scenarios"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(secrecy, "cascaded_gain", counting_gain)
+        monkeypatch.setattr(ScenarioConfig, "__init__", counting_init)
+        return counts
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_sweep_alpha_eight_gains_per_block(self, counts, scenario_file, tmp_path, blocks):
+        zero = ["--include-zero"] if blocks == 2 else []
+        rc = main(["sweep-alpha", "--scenario", scenario_file, "--out", str(tmp_path / "a.csv"),
+                   "--config", counts["config"], "--alpha-grid", "11", *zero])
+        assert rc == EXIT_OK
+        assert counts["gains"] == 8 * blocks and counts["scenarios"] == 1
+
+    def test_sweep_power_eight_gains_in_all(self, counts, scenario_file, tmp_path):
+        out = str(tmp_path / "p.csv")
+        rc = main(["sweep-power", "--scenario", scenario_file, "--out", out,
+                   "--config", counts["config"], "--eta", "0.01", "--gamma-bob-db", "2.2",
+                   "--pt-sweep=-30:10:10"])
+        assert rc == EXIT_OK
+        assert len(read_rows(out)[1]) == 5
+        assert counts["gains"] == 8 and counts["scenarios"] == 1
 
 
 class TestSolveAlphaCommand:

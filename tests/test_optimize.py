@@ -19,7 +19,7 @@ from risjam.optimize import (
     _padding,
 )
 from risjam.ris import PhaseConfig, binary_dft_codebook, set_partition, zero_config
-from risjam.secrecy import PowerSplit, SecrecyThresholds, beta_terms, sinr_values
+from risjam.secrecy import PowerSplit, SecrecyThresholds, beta_terms, path_gains, sinr_values
 from risjam.harness import optimized_config
 
 from conftest import make_random_scenario
@@ -522,9 +522,9 @@ def test_exhaustive_bounds_iterative_bounds_zero(seed, shape, link):
 
 def _dense_grid_argmax(sc, ch, cfg, th, n=1_000_001):
     """Brute-force oracle: fine grid over alpha with feasibility filtering."""
-    from risjam.optimize import _AlphaResponse
+    from risjam.optimize import LinkCouplings
 
-    model = _AlphaResponse(sc, ch, cfg)
+    model = LinkCouplings(ch, path_gains(ch, cfg), sc.pt_watts, sc.noise_bob_watts, sc.noise_eve_watts)
     alphas = np.linspace(0.0, 1.0, n)
     feas = model.feasibility(alphas, th)
     if not feas.any():
@@ -646,12 +646,13 @@ class TestCapacityRatioAlpha:
         assert 0.0 < a1 <= a2 <= 1.0
 
     def test_boundary_is_tight(self, table_scenario, table_channels):
-        from risjam.optimize import _AlphaResponse
+        from risjam.optimize import LinkCouplings
 
         cfg, _ = optimized_config(table_scenario, table_channels, "iterative", seed=1)
         ratio = 0.01
         a = capacity_ratio_alpha(table_scenario, table_channels, cfg, ratio, grid=501)
-        model = _AlphaResponse(table_scenario, table_channels, cfg)
+        model = LinkCouplings(table_channels, path_gains(table_channels, cfg), table_scenario.pt_watts,
+                              table_scenario.noise_bob_watts, table_scenario.noise_eve_watts)
         sb, se = model.sinrs(a)
         assert math.log2(1 + se) <= ratio * math.log2(1 + sb) + 1e-9
         sb2, se2 = model.sinrs(min(a + 2e-3, 1.0))
