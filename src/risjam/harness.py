@@ -36,11 +36,9 @@ from .scene import (
 )
 from .secrecy import (
     CAPACITY_REPORT_COLUMNS,
-    PowerSplit,
     SecrecyThresholds,
     capacity_report,
     capacity_report_row,
-    link_powers,
     path_gains,
 )
 
@@ -148,13 +146,12 @@ def run_sweep_alpha(args: argparse.Namespace) -> int:
     sc, ch = _load_inputs(args)
     cfg = _phases_for(args, sc, ch)
     alphas = np.linspace(0.0, 1.0, args.alpha_grid)
-    powers = (sc.pt_watts, sc.noise_bob_watts, sc.noise_eve_watts)
     rows = []
 
     def block(config: PhaseConfig, label: str):
-        gains = path_gains(ch, config)
+        model = LinkCouplings(ch, path_gains(ch, config), sc.pt_watts, sc.noise_bob_watts, sc.noise_eve_watts)
         for a in alphas:
-            report = capacity_report(link_powers(ch, gains, *powers, PowerSplit.of(float(a))))
+            report = capacity_report(model.powers(float(a)))
             row = capacity_report_row(float(a), report)
             # Re-derive c_secrecy from the capacities as they will appear in
             # the file, so every row verifies exactly from its own columns.
