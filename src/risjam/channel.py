@@ -10,6 +10,7 @@ factor exactly into (path-loss product L) x |gain|^2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -46,7 +47,7 @@ _ON_AXIS = np.array([1.0, 0.0, 0.0])
 def _pow2(x: np.ndarray) -> np.ndarray:
     # Python's float ** calls libm pow, which rounds differently from numpy's
     # x * x for a small share of inputs; scene.distance and scene.fspl use **.
-    return np.array([v ** 2 for v in x.ravel().tolist()]).reshape(x.shape)
+    return np.fromiter(map(pow, x.ravel().tolist(), itertools.repeat(2)), float, x.size).reshape(x.shape)
 
 
 def _gains(p: AntennaPattern, boresight: np.ndarray | None, directions: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .channel import ChannelSet
-from .ris import PI, PhaseConfig, is_binary, set_partition
+from .ris import PI, PhaseConfig, set_partition
 from .scene import ScenarioConfig
 from .secrecy import (
     CapacityReport,
@@ -167,7 +167,8 @@ class ReceivedPowerOracle:
 
     def _start(self, k: int, theta: np.ndarray) -> np.ndarray | None:
         """Set partition k's term array at its phases `theta`; None if they are not binary."""
-        if not is_binary(theta):
+        at_pi = theta == PI
+        if np.count_nonzero(at_pi) + np.count_nonzero(theta == 0.0) != theta.size:
             self._terms[k] = None
             return None
         if self._tables[k] is None:
@@ -175,7 +176,7 @@ class ReceivedPowerOracle:
             t0, tpi = (path.amplitude * np.exp(-1j * (path.phase + t)) for t in (0.0, PI))
             self._tables[k] = (t0, tpi)
         t0, tpi = self._tables[k]
-        terms = self._terms[k] = np.where(theta == PI, tpi, t0)
+        terms = self._terms[k] = np.where(at_pi, tpi, t0)
         return terms
 
 
@@ -245,50 +246,53 @@ def dft_sweep(
 ) -> tuple[PhaseConfig, list[TraceEntry]]:
     """Sweep a codebook over the partition at `indices` and install the best codeword.
 
-    codebook holds one binary codeword per row (binary_dft_codebook's
-    array). The other partition is expected to be held at 0 by the caller.
-    If the codebook holds fewer codewords than the partition size, the sweep
-    is padded with seeded uniform-random binary codewords to keep the trial
-    budget at one trial per partition element.
+    codebook holds one codeword per row as bits, 1 for pi (bool, or integers
+    0 and 1: binary_dft_codebook's array). The other partition is expected to
+    be held at 0 by the caller. If the codebook holds fewer codewords than
+    the partition size, the sweep is padded with seeded uniform-random binary
+    codewords to keep the trial budget at one trial per partition element.
+    Rows become phase vectors one block at a time.
     """
     idx = np.array(indices)
     budget = len(idx)
-    codebook = np.asarray(codebook, dtype=float)
+    codebook = np.asarray(codebook)
     if codebook.ndim != 2 or len(codebook) == 0:
         raise ValueError("codebook must be a non-empty 2-D array, one codeword per row")
     if codebook.shape[1] != budget:
-        raise ValueError(f"codewords must hold {budget} phases, one per partition element")
-    if not is_binary(codebook):
-        raise ValueError("codewords must contain only the phases 0 and pi")
-    rng = np.random.default_rng(seed)
-    trials = itertools.chain(codebook, _padding(rng, budget - len(codebook), budget))
+        raise ValueError(f"codewords must hold {budget} bits, one per partition element")
+    # the dtype and the integer extremes: no temporaries the size of the codebook
+    kind = codebook.dtype.kind
+    if kind != "b" and (kind not in "iu" or codebook.min() < 0 or codebook.max() > 1):
+        raise ValueError("codewords must be bit rows: bool, or integers 0 and 1 (1 = pi)")
+    blocks = (codebook[start:start + _PADDING_BLOCK] for start in range(0, len(codebook), _PADDING_BLOCK))
+    padding = _padding(np.random.default_rng(seed), budget - len(codebook), budget)
     phases = np.array(cfg.phases)
     best_cw = None
     best = -math.inf
     powers: list[float] = []  # each trial's measured power
     bests: list[float] = []  # the best power after each trial
-    for cw in trials:
-        phases[idx] = cw
-        p = float(oracle(phases))
-        if p > best:
-            best_cw, best = cw, p
-        powers.append(p)
-        bests.append(best)
+    for block in itertools.chain(blocks, padding):
+        for cw in block * PI:
+            phases[idx] = cw
+            p = float(oracle(phases))
+            if p > best:
+                best_cw, best = cw.copy(), p  # a view would keep the whole block
+            powers.append(p)
+            bests.append(best)
     trace = list(map(TraceEntry._make, zip(range(1, len(powers) + 1), powers, bests)))
     return set_partition(cfg, idx, best_cw), trace
 
 
-#: Padding codewords drawn per generator call: a block of this many rows of a
-#: 64x64 panel's partition takes 1 MB. Blocked draws give the same bits as one
-#: draw per row.
+#: Codewords turned into phase vectors at a time, codebook and padding alike:
+#: a block of this many rows of a 64x64 panel's partition takes 1 MB. Blocked
+#: padding draws give the same bits as one draw per row.
 _PADDING_BLOCK = 64
 
 
 def _padding(rng: np.random.Generator, count: int, size: int):
-    """`count` seeded uniform-random binary codewords of `size` phases, drawn in blocks."""
+    """`count` seeded uniform-random codewords of `size` bits, drawn and yielded in blocks."""
     for start in range(0, count, _PADDING_BLOCK):
-        bits = rng.integers(0, 2, (min(_PADDING_BLOCK, count - start), size))
-        yield from bits * PI
+        yield rng.integers(0, 2, (min(_PADDING_BLOCK, count - start), size))
 
 
 def exhaustive_search(

@@ -87,10 +87,11 @@ def binary_dft_codebook(m: int) -> np.ndarray:
     """Distinct binary codewords from phase-quantizing the m-point DFT matrix.
 
     Each DFT entry exp(-2j*pi*k*n/m) is mapped to the nearer of {0, pi}
-    (exact quarter-turn ties go to 0); duplicate rows collapse, keeping first
-    occurrence, so the result is a read-only (m', m) array of m' <= m
-    codewords, one per row, and always starts with the all-zero (DC) word.
-    m must be a power of two.
+    (exact quarter-turn ties go to 0) and stored as a bit, 1 for pi, as in
+    PhaseConfig.bits(). Duplicate rows collapse, keeping first occurrence, so
+    the result is a read-only uint8 (m', m) array of m' <= m codewords, one
+    per row, and always starts with the all-zero (DC) word. m must be a power
+    of two.
     """
     if m < 1 or (m & (m - 1)) != 0:
         raise ValueError("codebook size must be a power of 2")
@@ -99,15 +100,15 @@ def binary_dft_codebook(m: int) -> np.ndarray:
     # with r = k*n mod m; it is nearer pi exactly when 1/4 < r/m < 3/4, decided
     # in integers to make ties exact. uint32 products wrap modulo 2**32, a
     # multiple of m, so the residues are exact.
-    r4 = np.multiply.outer(np.arange(m // 2 + 1, dtype=np.uint32), np.arange(m, dtype=np.uint32))
-    r4 &= m - 1
-    r4 <<= 2
-    bits = (m < r4) & (r4 < 3 * m)
-    del r4
-    first: dict[bytes, int] = {}  # row bits -> first row holding them, in row order
-    for k, row in enumerate(np.packbits(bits, axis=1)):
-        first.setdefault(row.tobytes(), k)
-    words = bits[list(first.values())] * PI
+    rows, n = np.arange(m // 2 + 1, dtype=np.uint32), np.arange(m, dtype=np.uint32)
+    first: dict[bytes, np.ndarray] = {}  # packed row bits -> the packed row, in row order
+    for start in range(0, rows.size, 64):  # 64 rows at a time: 512 KB of residues at m = 2048
+        r4 = np.multiply.outer(rows[start:start + 64], n)
+        r4 &= m - 1
+        r4 <<= 2
+        for row in np.packbits((m < r4) & (r4 < 3 * m), axis=1):
+            first.setdefault(row.tobytes(), row)
+    words = np.unpackbits(np.array(list(first.values())), axis=1, count=m)
     words.setflags(write=False)
     return words
 

@@ -192,8 +192,8 @@ def pattern_gains(p: AntennaPattern, directions: np.ndarray) -> np.ndarray:
     x, y, z = d.T
     # The libm functions _cosine_gain calls, mapped over lists, so every
     # element rounds as it does there.
-    el = np.array(list(map(math.asin, np.clip(z, -1.0, 1.0).tolist())))
-    az = np.array(list(map(math.atan2, y.tolist(), x.tolist())))
+    el = np.fromiter(map(math.asin, np.clip(z, -1.0, 1.0).tolist()), float, z.size)
+    az = np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, x.size)
     live = (x > 0.0) & (np.abs(az) < math.pi / 2) & (np.abs(el) < math.pi / 2)
     gains = np.zeros(d.shape[0])
     gains[live] = (g0 * _cos_pow(az[live], 2.0 * p.az_exponent)
@@ -203,7 +203,7 @@ def pattern_gains(p: AntennaPattern, directions: np.ndarray) -> np.ndarray:
 
 def _cos_pow(angles: np.ndarray, exponent: float) -> np.ndarray:
     """math.cos(a) ** exponent for each angle, through libm cos and pow."""
-    return np.array(list(map(pow, map(math.cos, angles.tolist()), itertools.repeat(exponent))))
+    return np.fromiter(map(pow, map(math.cos, angles.tolist()), itertools.repeat(exponent)), float, angles.size)
 
 
 def _cosine_gain(g0: float, a2: float, e2: float, x: float, y: float, z: float) -> float:

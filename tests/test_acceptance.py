@@ -93,6 +93,7 @@ def test_criterion_3_brute_force_oracle_equivalence():
         rng = np.random.default_rng(2024)
         cb = binary_dft_codebook(8)
         start = time.perf_counter()
+        hits = 0  # trials whose optimum is a codeword
         for trial in range(100):
             sc = make_random_scenario(rng, rows=4, cols=4)  # 8-element partitions
             ch = build_channel_set(sc)
@@ -108,9 +109,11 @@ def test_criterion_3_brute_force_oracle_equivalence():
             _, dft_trace = dft_sweep(oracle, base, ch.bob_indices, cb, seed=trial)
             dft_best = max(t.power_w for t in dft_trace)
             assert dft_best <= best_p
-            optimum_word = best_cfg.phases[list(ch.bob_indices)]
+            optimum_word = best_cfg.bits()[list(ch.bob_indices)]
             if any(np.array_equal(w, optimum_word) for w in cb):
+                hits += 1
                 assert dft_best == best_p
+        assert hits > 0, "no optimum was a codeword: the exact-match check never ran"
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
 

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -621,3 +622,17 @@ class TestOptimizedConfigHelper:
         np.testing.assert_array_equal(
             cfg.phases[list(ch.eve_indices)], cfg_e.phases[list(ch.eve_indices)]
         )
+
+    def test_panel_dft_memory(self, table_scenario):
+        # The 64x64 DFT job held a 16.8 MB float codebook through both sweeps
+        # (traced peak 23.5 MB); bit rows and blocked phase rows keep it small.
+        sc = replace(table_scenario, ris_rows=64, ris_cols=64)
+        ch = build_channel_set(sc)
+        tracemalloc.start()
+        try:
+            cfg, traces = optimized_config(sc, ch, "dft", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traces["rb"]) == len(traces["re"]) == 2048
+        assert peak < 10e6, f"traced peak {peak / 1e6:.1f} MB"

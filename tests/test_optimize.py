@@ -120,7 +120,7 @@ class TestIterativeOptimize:
 
 class TestDftSweep:
     def test_all_zero_codebook(self):
-        cb = np.zeros((1, 2))
+        cb = np.zeros((1, 2), dtype=np.uint8)
         base = zero_config(4)
         final, trace = dft_sweep(coherent_oracle([0.3, 0.7], upper(4)), base, upper(4), cb, seed=0)
         assert final == base
@@ -131,25 +131,28 @@ class TestDftSweep:
         oracle = coherent_oracle(psi, upper(4))
         base = zero_config(4)
         winner = np.array([0.0, PI])
-        cb = np.array([np.zeros(2), winner, [PI, 0.0]])
-        measured = []
+        for dtype in (bool, np.uint8, np.int64):  # the bit forms dft_sweep takes
+            cb = np.array([[0, 0], [0, 1], [1, 0]], dtype=dtype)
+            measured = []
 
-        def recording(phases):
-            measured.append(phases.copy())  # the sweep reuses its buffer
-            return oracle(phases)
+            def recording(phases):
+                measured.append(phases.copy())  # the sweep reuses its buffer
+                return oracle(phases)
 
-        final, trace = dft_sweep(recording, base, upper(4), cb, seed=0)
-        np.testing.assert_array_equal(final.phases[list(upper(4))], winner)
-        assert max(t.power_w for t in trace) == trace[1].power_w
-        # trial k evaluates exactly set_partition(base, upper(4), codeword k)
-        assert len(measured) == len(cb)
-        for k, cw in enumerate(cb):
-            np.testing.assert_array_equal(measured[k], set_partition(base, upper(4), cw).phases)
+            final, trace = dft_sweep(recording, base, upper(4), cb, seed=0)
+            np.testing.assert_array_equal(final.phases[list(upper(4))], winner)
+            assert max(t.power_w for t in trace) == trace[1].power_w
+            # trial k evaluates exactly set_partition(base, upper(4), codeword k)
+            assert len(measured) == len(cb)
+            for k, cw in enumerate(cb):
+                want = set_partition(base, upper(4), np.where(cw, PI, 0.0)).phases
+                assert measured[k].tobytes() == want.tobytes()
 
     def test_sweep_bounded_by_exhaustive(self):
         rng = np.random.default_rng(17)
         cb = binary_dft_codebook(4)
         idx = upper(8)
+        hits = 0
         for _ in range(20):
             psi = rng.uniform(0, 2 * PI, 4)
             oracle = coherent_oracle(psi, idx)
@@ -158,25 +161,35 @@ class TestDftSweep:
             swept_cfg, trace = dft_sweep(oracle, base, idx, cb, seed=3)
             swept_best = max(t.power_w for t in trace)
             assert swept_best <= best_p * (1 + 1e-12)
-            optimum_bits = best_cfg.phases[list(idx)]
+            optimum_bits = best_cfg.bits()[list(idx)]
             in_book = any(np.array_equal(w, optimum_bits) for w in cb)
             if in_book:
+                hits += 1
                 assert swept_best == best_p
+        assert hits > 0  # the exact-optimum branch ran
 
     def test_empty_codebook_rejected(self):
-        with pytest.raises(ValueError):
-            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), np.zeros((0, 2)), seed=0)
+        with pytest.raises(ValueError, match="non-empty"):
+            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), np.zeros((0, 2), dtype=np.uint8), seed=0)
 
     def test_codeword_length_mismatch_rejected(self):
         # a one-element codeword would otherwise broadcast over the partition
-        with pytest.raises(ValueError):
-            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), np.zeros((1, 1)), seed=0)
-        with pytest.raises(ValueError):
-            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), np.zeros(2), seed=0)
+        with pytest.raises(ValueError, match="2 bits"):
+            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), np.zeros((1, 1), dtype=np.uint8), seed=0)
+        with pytest.raises(ValueError, match="2-D"):
+            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), np.zeros(2, dtype=np.uint8), seed=0)
 
     def test_non_binary_codeword_rejected(self):
-        with pytest.raises(ValueError, match="0 and pi"):
-            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), np.array([[0.0, 1.0]]), seed=0)
+        with pytest.raises(ValueError, match="bit rows"):
+            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), np.array([[0, 2]]), seed=0)
+        with pytest.raises(ValueError, match="bit rows"):
+            dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), np.array([[0, -1]]), seed=0)
+
+    def test_phase_codebook_rejected(self):
+        # the phases 0 and pi are the bits' meaning, not their form
+        for cb in (np.array([[0.0, PI]]), np.array([[0.0, 1.0]]), binary_dft_codebook(2) * PI):
+            with pytest.raises(ValueError, match="bit rows"):
+                dft_sweep(lambda phases: 1.0, zero_config(4), upper(4), cb, seed=0)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 12345])
     @pytest.mark.parametrize("size, count", [(3, 1), (5, 63), (127, 64), (128, 65), (255, 130),
@@ -185,8 +198,8 @@ class TestDftSweep:
         # the padding the sweep drew one row per generator call
         rng = np.random.default_rng(seed)
         rows = [np.where(rng.integers(0, 2, size) == 1, PI, 0.0) for _ in range(count)]
-        blocked = list(_padding(np.random.default_rng(seed), count, size))
-        assert np.array_equal(blocked, rows)
+        blocked = np.concatenate(list(_padding(np.random.default_rng(seed), count, size)))
+        assert (blocked * PI).tobytes() == np.array(rows).tobytes()
 
     def test_padded_trials_are_the_seeded_rows(self):
         cb = binary_dft_codebook(8)
@@ -199,7 +212,26 @@ class TestDftSweep:
         dft_sweep(recording, zero_config(16), upper(16), cb, seed=4)
         rng = np.random.default_rng(4)
         pads = [np.where(rng.integers(0, 2, 8) == 1, PI, 0.0) for _ in range(8 - len(cb))]
-        assert np.array_equal(measured, [*cb, *pads])
+        assert np.array(measured).tobytes() == np.array([*(cb * PI), *pads]).tobytes()
+
+    @pytest.mark.parametrize("count", [63, 64, 65, 130])
+    def test_codebook_blocks_sweep_every_row_in_order(self, count):
+        # codebook rows pass in blocks like the padding; the row count straddles them
+        rng = np.random.default_rng(count)
+        cb = rng.integers(0, 2, (count, 130)).astype(bool)
+        idx = tuple(range(130))
+        measured = []
+
+        def recording(phases):
+            measured.append(phases.copy())
+            return float(phases @ rng.standard_normal(130))
+
+        final, trace = dft_sweep(recording, zero_config(130), idx, cb, seed=count)
+        pad_rng = np.random.default_rng(count)
+        pads = [np.where(pad_rng.integers(0, 2, 130) == 1, PI, 0.0) for _ in range(130 - count)]
+        assert np.array(measured).tobytes() == np.array([*np.where(cb, PI, 0.0), *pads]).tobytes()
+        best = int(np.argmax([t.power_w for t in trace]))
+        assert final.phases.tobytes() == measured[best].tobytes()
 
     def test_budget_padding_deterministic(self, table_scenario, table_channels):
         oracle = cs_power_at_bob(table_scenario, table_channels)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,12 +114,13 @@ def _per_row_codebook(m: int) -> np.ndarray:
 class TestBinaryDftCodebook:
     def test_m2(self):
         cb = binary_dft_codebook(2)
-        np.testing.assert_array_equal(cb, [[0.0, 0.0], [0.0, PI]])
+        np.testing.assert_array_equal(cb, [[0, 0], [0, 1]])
+        assert (cb * PI).tobytes() == np.array([[0.0, 0.0], [0.0, PI]]).tobytes()
 
     def test_m4_hand_quantized(self):
         # rows 1 and 3 of the 4-point DFT quantize identically, so < 4 remain
         cb = binary_dft_codebook(4)
-        words = {tuple(w) for w in cb.tolist()}
+        words = {tuple(w) for w in (cb * PI).tolist()}
         assert len(cb) == 3
         assert (0.0, 0.0, 0.0, 0.0) in words
         assert (0.0, PI, 0.0, PI) in words
@@ -136,8 +138,8 @@ class TestBinaryDftCodebook:
                 seen.add(key)
                 expected.append(row)
         assert len(cb) == len(expected)
-        for got, want in zip(cb, expected):
-            np.testing.assert_array_equal(got, want)
+        for got, want in zip(cb * PI, expected):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64])
     def test_matches_scalar_integer_rule(self, m):
@@ -149,31 +151,50 @@ class TestBinaryDftCodebook:
                 seen.add(row.tobytes())
                 expected.append(row)
         got = binary_dft_codebook(m)
-        assert [w.tobytes() for w in got] == [w.tobytes() for w in expected]
+        assert [w.tobytes() for w in got * PI] == [w.tobytes() for w in expected]
 
     @pytest.mark.parametrize("m", [2 ** e for e in range(13)])
     def test_matches_per_row_loop(self, m):
         got, want = binary_dft_codebook(m), _per_row_codebook(m)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        assert got.dtype == np.uint8
+        assert got.shape == want.shape
+        assert (got * PI).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [2, 8, 32, 256])
     def test_dc_codeword_first_and_all_binary(self, m):
         cb = binary_dft_codebook(m)
         assert cb.shape[1] == m
-        assert np.all(cb[0] == 0.0)
-        assert np.all((cb == 0.0) | (cb == PI))
+        assert np.all(cb[0] == 0)
+        assert np.all((cb == 0) | (cb == 1))
         assert len({w.tobytes() for w in cb}) == len(cb)
         assert len(cb) <= m
 
+    def test_rows_are_phase_config_bits(self):
+        cb = binary_dft_codebook(16)
+        for w in cb:
+            assert PhaseConfig(w * PI).bits().tobytes() == w.tobytes()
+
     def test_read_only(self):
         with pytest.raises(ValueError):
-            binary_dft_codebook(8)[1, 0] = 0.0
+            binary_dft_codebook(8)[1, 0] = 0
 
     def test_non_power_of_two_rejected(self):
         for bad in (0, 3, 6, 12):
             with pytest.raises(ValueError):
                 binary_dft_codebook(bad)
+
+    def test_panel_codebook_memory(self):
+        # A 64x64 panel's partition: every row k <= m/2 is distinct, and the
+        # build holds no (m/2 + 1, m) matrix (the residues alone took 8.4 MB).
+        tracemalloc.start()
+        try:
+            cb = binary_dft_codebook(2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cb.dtype == np.uint8 and cb.shape == (1025, 2048)
+        assert not cb.flags.writeable
+        assert peak < 4e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestOnDiskFormat:
