@@ -39,7 +39,6 @@ from .ris import PhaseConfig, binary_dft_codebook, set_partition, zero_config  #
 from .scene import (  # noqa: F401
     AntennaPattern,
     Position3D,
-    RisGeometry,
     ScenarioConfig,
     distance,
     element_positions,
@@ -50,8 +49,6 @@ from .scene import (  # noqa: F401
 )
 from .secrecy import (  # noqa: F401
     CapacityReport,
-    LinkPowers,
-    PowerSplit,
     SecrecyThresholds,
     beta_terms,
     secrecy_capacity,

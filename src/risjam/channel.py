@@ -36,7 +36,7 @@ TWO_PI = 2.0 * math.pi
 #: to the elements, and the elements to the users (b: Bob, e: Eve).
 HOPS = ("s", "a", "b", "e")
 
-#: (source, partition, user) keys of ChannelSet.paths and the path-loss map.
+#: (source, partition, user) keys of ChannelSet.paths.
 PATH_KEYS = tuple(
     (src, part, user) for src in ("s", "a") for part in ("rb", "re") for user in ("b", "e")
 )
@@ -168,11 +168,6 @@ class ChannelSet:
     def phases(self, name: str) -> np.ndarray:
         return self.hops[name][1]
 
-    @property
-    def path_loss(self) -> dict[tuple[str, str, str], float]:
-        """Squared mean per-element amplitude product of each (source, partition, user)."""
-        return {key: path.path_loss for key, path in self.paths.items()}
-
     def partition(self, which: str) -> tuple[int, ...]:
         if which == "rb":
             return self.bob_indices
@@ -191,7 +186,7 @@ def build_channel_set(sc: ScenarioConfig) -> ChannelSet:
     """
     elements = sc.elements
     normal = np.asarray(PANEL_NORMAL)
-    bob_idx, eve_idx = partition_split(sc.ris)
+    bob_idx, eve_idx = partition_split(sc.ris_rows, sc.ris_cols)
     aim_cs = np.mean(elements[list(bob_idx)], axis=0) - sc.cs_tx.as_array()
     aim_an = np.mean(elements[list(eve_idx)], axis=0) - sc.an_tx.as_array()
     fc, tx_pat, el_pat = sc.fc_hz, sc.tx_pattern, sc.ris_element_pattern

@@ -37,7 +37,6 @@ from .scene import (
 from .secrecy import (
     CAPACITY_REPORT_COLUMNS,
     SecrecyThresholds,
-    capacity_report,
     capacity_report_row,
     path_gains,
 )
@@ -151,8 +150,7 @@ def run_sweep_alpha(args: argparse.Namespace) -> int:
     def block(config: PhaseConfig, label: str):
         model = LinkCouplings(ch, path_gains(ch, config), sc.pt_watts, sc.noise_bob_watts, sc.noise_eve_watts)
         for a in alphas:
-            report = capacity_report(model.powers(float(a)))
-            row = capacity_report_row(float(a), report)
+            row = capacity_report_row(float(a), model.report(float(a)))
             # Re-derive c_secrecy from the capacities as they will appear in
             # the file, so every row verifies exactly from its own columns.
             cb, ce = float(_fmt(row[1])), float(_fmt(row[2]))

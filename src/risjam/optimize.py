@@ -24,8 +24,6 @@ from .ris import PI, PhaseConfig, set_partition
 from .scene import ScenarioConfig
 from .secrecy import (
     CapacityReport,
-    LinkPowers,
-    PowerSplit,
     SecrecyThresholds,
     capacity_report,
     link_powers,
@@ -341,22 +339,24 @@ class LinkCouplings:
     Built from the eight path gains (path_gains) and the transmit and noise
     powers in watts. The couplings are the received powers at full transmit
     power: x_* for the communication signal, y_* for the artificial noise, at
-    Bob and Eve. `powers` scales the same gains to one split (link_powers).
+    Bob and Eve. `report` scales the same gains to one split (link_powers).
     """
 
     def __init__(self, ch: ChannelSet, gains, pt: float, noise_bob: float, noise_eve: float):
-        self._link = (ch, gains, pt, noise_bob, noise_eve)
-        cs = link_powers(*self._link, PowerSplit(1.0, 0.0)).beta
-        an = link_powers(*self._link, PowerSplit(0.0, 1.0)).beta
+        if noise_bob < 0.0 or noise_eve < 0.0:
+            raise ValueError("noise powers must be non-negative")
+        self._link = (ch, gains, pt)
+        cs = link_powers(*self._link, 1.0)
+        an = link_powers(*self._link, 0.0)
         self.x_b = cs[0] ** 2 + cs[1] ** 2
         self.y_b = an[2] ** 2 + an[3] ** 2
         self.x_e = cs[6] ** 2 + cs[7] ** 2
         self.y_e = an[4] ** 2 + an[5] ** 2
         self.noise_bob, self.noise_eve = noise_bob, noise_eve
 
-    def powers(self, alpha1: float) -> LinkPowers:
-        """The eight amplitudes at the split (alpha1, 1 - alpha1)."""
-        return link_powers(*self._link, PowerSplit.of(alpha1))
+    def report(self, alpha1: float) -> CapacityReport:
+        """SINRs and capacities at the split (alpha1, 1 - alpha1), from its eight amplitudes."""
+        return capacity_report(link_powers(*self._link, alpha1), self.noise_bob, self.noise_eve)
 
     def sinrs(self, alpha1):
         a = np.asarray(alpha1, dtype=float)
@@ -491,7 +491,7 @@ def solve_split(model: LinkCouplings, th: SecrecyThresholds, grid: int) -> Alloc
 
 
 def _finish(model: LinkCouplings, th, alpha: float, feasible: bool) -> AllocationSolution:
-    report = capacity_report(model.powers(alpha))
+    report = model.report(alpha)
     return AllocationSolution(
         alpha1=alpha,
         feasible=feasible,

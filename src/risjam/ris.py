@@ -94,7 +94,8 @@ def binary_dft_codebook(m: int) -> np.ndarray:
     of two.
     """
     if m < 1 or (m & (m - 1)) != 0:
-        raise ValueError("codebook size must be a power of 2")
+        raise ValueError(f"codebook size must be a power of 2, got {m}: "
+                         "a DFT codeword holds one bit per partition element")
     # Row m - k quantizes like row k (its entry phases are the negatives), so
     # rows past m/2 are never first occurrences. The entry phase is 2*pi*r/m
     # with r = k*n mod m; it is nearer pi exactly when 1/4 < r/m < 3/4, decided

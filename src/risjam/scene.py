@@ -73,28 +73,6 @@ def distance(a: Position3D, b: Position3D) -> float:
     return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
 
 
-@dataclass(frozen=True)
-class RisGeometry:
-    """Centered uniform rectangular RIS lattice in a plane facing PANEL_NORMAL."""
-
-    rows: int
-    cols: int
-    spacing: float
-    center: Position3D
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("rows and cols must be positive")
-        if (self.rows * self.cols) % 2 != 0:
-            raise ValueError("element count must be even (two equal partitions)")
-        if not 0.0 < self.spacing < math.inf:
-            raise ValueError("spacing must be positive and finite")
-
-    @property
-    def n_elements(self) -> int:
-        return self.rows * self.cols
-
-
 def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """In-plane (column, row) axes for a surface with the given unit normal.
 
@@ -111,31 +89,30 @@ def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def element_positions(g: RisGeometry) -> np.ndarray:
-    """(N, 3) element centers in canonical row-major order (top row first).
+def element_positions(rows: int, cols: int, spacing: float, center: Position3D) -> np.ndarray:
+    """(N, 3) element centers of a rows x cols lattice in canonical row-major order (top row first).
 
-    The lattice is centered on g.center; column index increases along the
+    The lattice is centered on center; column index increases along the
     in-plane horizontal axis, so the first cols/2 columns sit at negative y
     (Eve's side) and the rest at positive y.
     """
     u, v = _plane_basis(np.asarray(PANEL_NORMAL))
-    row_off = ((g.rows - 1) / 2.0 - np.arange(g.rows)) * g.spacing
-    col_off = (np.arange(g.cols) - (g.cols - 1) / 2.0) * g.spacing
-    pos = g.center.as_array() + col_off[None, :, None] * u + row_off[:, None, None] * v
-    return pos.reshape(g.n_elements, 3)
+    row_off = ((rows - 1) / 2.0 - np.arange(rows)) * spacing
+    col_off = (np.arange(cols) - (cols - 1) / 2.0) * spacing
+    pos = center.as_array() + col_off[None, :, None] * u + row_off[:, None, None] * v
+    return pos.reshape(rows * cols, 3)
 
 
-def partition_split(g: RisGeometry) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(bob_indices, eve_indices) of the vertical half-panel split.
+def partition_split(rows: int, cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(bob_indices, eve_indices) of the vertical half-panel split of a rows x cols lattice.
 
     Eve's partition is the low-column half (negative-y side, matching an
     eavesdropper placed at negative y); Bob's is the high-column half.
-    Indices refer to the canonical row-major element order.
+    Indices refer to the canonical row-major element order; cols is even
+    (ScenarioConfig checks it).
     """
-    if g.cols % 2 != 0:
-        raise ValueError("vertical split requires an even column count")
-    half = g.cols // 2
-    grid = np.arange(g.n_elements).reshape(g.rows, g.cols)
+    half = cols // 2
+    grid = np.arange(rows * cols).reshape(rows, cols)
     return tuple(grid[:, half:].ravel().tolist()), tuple(grid[:, :half].ravel().tolist())
 
 
@@ -143,22 +120,17 @@ def partition_split(g: RisGeometry) -> tuple[tuple[int, ...], tuple[int, ...]]:
 class AntennaPattern:
     """Directional power pattern, either cosine-shaped or isotropic.
 
-    For the cosine kind the power gain is
-    boresight * cos(az)^(2*az_exponent) * cos(el)^(2*el_exponent) on the front
-    hemisphere and exactly zero on/behind the aperture plane. The isotropic
-    kind returns the boresight gain in every direction.
+    For the cosine kind the power gain is boresight * cos(az)^2 * cos(el)^2
+    on the front hemisphere and exactly zero on/behind the aperture plane.
+    The isotropic kind returns the boresight gain in every direction.
     """
 
     kind: str
-    az_exponent: float = 1.0
-    el_exponent: float = 1.0
     boresight_gain_dbi: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("cosine", "isotropic"):
             raise ValueError(f"pattern kind must be 'cosine' or 'isotropic', got {self.kind!r}")
-        if self.az_exponent < 0 or self.el_exponent < 0:
-            raise ValueError("pattern exponents must be non-negative")
 
     @property
     def boresight_linear(self) -> float:
@@ -179,8 +151,7 @@ def pattern_gain(p: AntennaPattern, direction: np.ndarray) -> float:
     if p.kind == "isotropic":
         return g0
     d = np.asarray(direction, dtype=float)
-    return _cosine_gain(g0, 2.0 * p.az_exponent, 2.0 * p.el_exponent,
-                        float(d[0]), float(d[1]), float(d[2]))
+    return _cosine_gain(g0, float(d[0]), float(d[1]), float(d[2]))
 
 
 def pattern_gains(p: AntennaPattern, directions: np.ndarray) -> np.ndarray:
@@ -196,17 +167,16 @@ def pattern_gains(p: AntennaPattern, directions: np.ndarray) -> np.ndarray:
     az = np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, x.size)
     live = (x > 0.0) & (np.abs(az) < math.pi / 2) & (np.abs(el) < math.pi / 2)
     gains = np.zeros(d.shape[0])
-    gains[live] = (g0 * _cos_pow(az[live], 2.0 * p.az_exponent)
-                   * _cos_pow(el[live], 2.0 * p.el_exponent))
+    gains[live] = g0 * _cos_pow(az[live]) * _cos_pow(el[live])
     return gains
 
 
-def _cos_pow(angles: np.ndarray, exponent: float) -> np.ndarray:
-    """math.cos(a) ** exponent for each angle, through libm cos and pow."""
-    return np.fromiter(map(pow, map(math.cos, angles.tolist()), itertools.repeat(exponent)), float, angles.size)
+def _cos_pow(angles: np.ndarray) -> np.ndarray:
+    """math.cos(a) ** 2.0 for each angle, through libm cos and pow."""
+    return np.fromiter(map(pow, map(math.cos, angles.tolist()), itertools.repeat(2.0)), float, angles.size)
 
 
-def _cosine_gain(g0: float, a2: float, e2: float, x: float, y: float, z: float) -> float:
+def _cosine_gain(g0: float, x: float, y: float, z: float) -> float:
     # Scalar libm calls on purpose: numpy's vectorized arcsin, arctan2 and
     # cos round differently in the last bit on some CPUs, and the channel
     # digests are pinned to these.
@@ -216,7 +186,7 @@ def _cosine_gain(g0: float, a2: float, e2: float, x: float, y: float, z: float) 
     az = math.atan2(y, x)
     if abs(az) >= math.pi / 2 or abs(el) >= math.pi / 2:
         return 0.0
-    return g0 * math.cos(az) ** a2 * math.cos(el) ** e2
+    return g0 * math.cos(az) ** 2.0 * math.cos(el) ** 2.0
 
 
 def rotation_to_frame(boresight: np.ndarray) -> np.ndarray:
@@ -247,8 +217,8 @@ class ScenarioConfig:
     fs_hz is carried as metadata only (capacity math is per Hz); pt_dbm is the
     total transmit power shared by the communication and noise signals.
     pattern_kind shapes both transmit antennas (boresight gain tx_gain_dbi) and
-    the RIS elements. The lattice, both patterns and the read-only (N, 3)
-    element centers are derived from the fields once, on construction.
+    the RIS elements. Both patterns and the read-only (N, 3) element centers
+    are derived from the fields once, on construction.
     """
 
     fc_hz: float
@@ -266,7 +236,6 @@ class ScenarioConfig:
     ris_center: Position3D
     tx_gain_dbi: float
     pattern_kind: str
-    ris: RisGeometry = field(init=False, repr=False, compare=False)
     tx_pattern: AntennaPattern = field(init=False, repr=False, compare=False)
     ris_element_pattern: AntennaPattern = field(init=False, repr=False, compare=False)
     elements: np.ndarray = field(init=False, repr=False, compare=False)
@@ -285,8 +254,14 @@ class ScenarioConfig:
         for name, cap, unit in (("pt_dbm", MAX_PT_DBM, "dBm"), ("tx_gain_dbi", MAX_TX_GAIN_DBI, "dBi")):
             if getattr(self, name) > cap:
                 raise ValueError(f"{name} = {getattr(self, name)!r} is above the cap of {cap} {unit}")
-        ris = RisGeometry(self.ris_rows, self.ris_cols, self.ris_spacing_m, self.ris_center)
-        object.__setattr__(self, "ris", ris)
+        for name in ("ris_rows", "ris_cols"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.ris_cols % 2 != 0:
+            raise ValueError(f"ris_cols = {self.ris_cols!r} must be even: "
+                             "the panel splits into two column halves")
+        if not 0.0 < self.ris_spacing_m < math.inf:
+            raise ValueError(f"ris_spacing_m must be positive and finite, got {self.ris_spacing_m!r}")
         object.__setattr__(self, "tx_pattern",
                            AntennaPattern(self.pattern_kind, boresight_gain_dbi=self.tx_gain_dbi))
         object.__setattr__(self, "ris_element_pattern", AntennaPattern(self.pattern_kind))
@@ -302,10 +277,10 @@ class ScenarioConfig:
                 value = math.inf
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{key} = {getattr(self, key)!r} has no finite positive linear value")
-        elems = element_positions(ris)
+        elems = element_positions(self.ris_rows, self.ris_cols, self.ris_spacing_m, self.ris_center)
         if not np.all(np.isfinite(elems)):
             raise ValueError("RIS element coordinates must be finite")
-        center, wavelength = ris.center.as_array(), SPEED_OF_LIGHT / self.fc_hz
+        center, wavelength = self.ris_center.as_array(), SPEED_OF_LIGHT / self.fc_hz
         for node_name in ("cs_tx", "an_tx", "bob", "eve"):
             node = getattr(self, node_name).as_array()
             # The surface reflects into the half-space it faces; behind it the
@@ -415,11 +390,6 @@ def format_scenario(sc: ScenarioConfig) -> str:
     return "".join(
         f"{f.name} = {_CODECS[f.type][1](getattr(sc, f.name))}\n" for f in _FILE_FIELDS
     )
-
-
-def save_scenario(sc: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_scenario(sc))
 
 
 def scenario_hash(sc: ScenarioConfig) -> str:

@@ -38,42 +38,6 @@ class InfiniteCapacityError(ValueError):
 
 
 @dataclass(frozen=True)
-class PowerSplit:
-    """Fractions of total transmit power on the communication/noise signals."""
-
-    alpha1: float
-    alpha2: float
-
-    def __post_init__(self):
-        if self.alpha1 < 0.0 or self.alpha2 < 0.0:
-            raise ValueError("power fractions must be non-negative")
-        if abs(self.alpha1 + self.alpha2 - 1.0) > 1e-12:
-            raise ValueError("power fractions must sum to 1")
-
-    @classmethod
-    def of(cls, alpha1: float) -> "PowerSplit":
-        return cls(alpha1, 1.0 - alpha1)
-
-
-@dataclass(frozen=True)
-class LinkPowers:
-    """The eight component amplitudes (sqrt-watts) plus receiver noise powers."""
-
-    beta: np.ndarray
-    noise_bob: float
-    noise_eve: float
-
-    def __post_init__(self):
-        beta = np.array(self.beta, dtype=float)
-        if beta.shape != (8,):
-            raise ValueError("beta must hold exactly 8 values")
-        if np.any(beta < 0.0) or self.noise_bob < 0.0 or self.noise_eve < 0.0:
-            raise ValueError("amplitudes and noise powers must be non-negative")
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-
-
-@dataclass(frozen=True)
 class CapacityReport:
     c_bob: float
     c_eve: float
@@ -107,21 +71,6 @@ class SecrecyThresholds:
             raise ValueError("eta form requires a positive Bob threshold")
         return cls(gamma_bob_min, eta * gamma_bob_min)
 
-    @property
-    def eta(self) -> float:
-        """Ratio of Eve's cap to Bob's floor (undefined for a zero floor)."""
-        if self.gamma_bob_min == 0.0:
-            raise ValueError("eta undefined for gamma_bob_min = 0")
-        return self.gamma_eve_max / self.gamma_bob_min
-
-    @property
-    def c_bob_min(self) -> float:
-        return math.log2(1.0 + self.gamma_bob_min)
-
-    @property
-    def c_eve_max(self) -> float:
-        return math.log2(1.0 + self.gamma_eve_max)
-
 
 def path_gains(ch: ChannelSet, cfg: PhaseConfig) -> list[float]:
     """|cascaded gain| of each BETA_PATHS path at cfg: the part of the beta terms the phases set.
@@ -134,29 +83,31 @@ def path_gains(ch: ChannelSet, cfg: PhaseConfig) -> list[float]:
     return [abs(cascaded_gain(ch.paths[key], cfg.phases)) for key in BETA_PATHS]
 
 
-def link_powers(ch: ChannelSet, gains, pt: float, noise_bob: float, noise_eve: float,
-                split: PowerSplit) -> LinkPowers:
-    """Scale the path gains of one configuration to the eight amplitudes of a power split.
+def link_powers(ch: ChannelSet, gains, pt: float, alpha1: float) -> np.ndarray:
+    """Scale the path gains of one configuration to the eight amplitudes at the split alpha1.
 
     beta_k = sqrt(alpha_src * pt * L_path) * gains[k], with alpha_src =
-    alpha1 for communication-signal paths and alpha2 for noise paths. pt and
-    the two receiver noise powers are in watts.
+    alpha1 for communication-signal paths and alpha2 = 1 - alpha1 for noise
+    paths; pt is in watts.
     """
+    # Written so that NaN fails.
+    if not 0.0 <= alpha1 <= 1.0:
+        raise ValueError(f"alpha1 must lie in [0, 1], got {alpha1!r}")
+    alpha2 = 1.0 - alpha1
     beta = np.empty(8)
     for k, key in enumerate(BETA_PATHS):
-        alpha = split.alpha1 if key[0] == "s" else split.alpha2
+        alpha = alpha1 if key[0] == "s" else alpha2
         beta[k] = math.sqrt(alpha * pt * ch.paths[key].path_loss) * gains[k]
-    return LinkPowers(beta=beta, noise_bob=noise_bob, noise_eve=noise_eve)
+    return beta
 
 
-def beta_terms(sc: ScenarioConfig, ch: ChannelSet, cfg: PhaseConfig, split: PowerSplit) -> LinkPowers:
-    """Evaluate the eight component amplitudes for one configuration and power split.
+def beta_terms(sc: ScenarioConfig, ch: ChannelSet, cfg: PhaseConfig, alpha1: float) -> np.ndarray:
+    """The eight component amplitudes of one configuration at the split alpha1.
 
     beta_k = sqrt(alpha_src * P_t * L_path) * |cascaded gain of the partition|:
-    link_powers applied to path_gains at the scenario's powers.
+    link_powers applied to path_gains at the scenario's transmit power.
     """
-    return link_powers(ch, path_gains(ch, cfg), sc.pt_watts, sc.noise_bob_watts, sc.noise_eve_watts,
-                       split)
+    return link_powers(ch, path_gains(ch, cfg), sc.pt_watts, alpha1)
 
 
 def _ratio(signal: float, interference: float) -> float:
@@ -167,11 +118,10 @@ def _ratio(signal: float, interference: float) -> float:
     return signal / interference
 
 
-def sinr_values(lp: LinkPowers) -> tuple[float, float]:
-    """(sinr_bob, sinr_eve), linear."""
-    b = lp.beta
-    sinr_bob = _ratio(b[0] ** 2 + b[1] ** 2, b[2] ** 2 + b[3] ** 2 + lp.noise_bob)
-    sinr_eve = _ratio(b[6] ** 2 + b[7] ** 2, b[4] ** 2 + b[5] ** 2 + lp.noise_eve)
+def sinr_values(beta, noise_bob: float, noise_eve: float) -> tuple[float, float]:
+    """(sinr_bob, sinr_eve), linear, of the eight amplitudes and the receiver noise powers in watts."""
+    sinr_bob = _ratio(beta[0] ** 2 + beta[1] ** 2, beta[2] ** 2 + beta[3] ** 2 + noise_bob)
+    sinr_eve = _ratio(beta[6] ** 2 + beta[7] ** 2, beta[4] ** 2 + beta[5] ** 2 + noise_eve)
     return sinr_bob, sinr_eve
 
 
@@ -182,8 +132,8 @@ def secrecy_capacity(c_bob: float, c_eve: float) -> float:
     return max(c_bob - c_eve, 0.0)
 
 
-def capacity_report(lp: LinkPowers) -> CapacityReport:
-    sinr_bob, sinr_eve = sinr_values(lp)
+def capacity_report(beta, noise_bob: float, noise_eve: float) -> CapacityReport:
+    sinr_bob, sinr_eve = sinr_values(beta, noise_bob, noise_eve)
     c_bob = math.log2(1.0 + sinr_bob)
     c_eve = math.log2(1.0 + sinr_eve)
     return CapacityReport(

@@ -25,10 +25,8 @@ from risjam.optimize import (
     optimize_alpha,
 )
 from risjam.ris import binary_dft_codebook, zero_config
-from risjam.scene import load_scenario, save_scenario
+from risjam.scene import format_scenario, load_scenario
 from risjam.secrecy import (
-    LinkPowers,
-    PowerSplit,
     SecrecyThresholds,
     beta_terms,
     capacity_report,
@@ -133,8 +131,8 @@ def test_criterion_5_eve_suppression_region(table):
         cfg, _ = optimized_config(sc, ch, "iterative", seed=1)
         for alpha in np.linspace(0.0, 1.0, 101):
             if alpha <= 0.6:
-                powers = beta_terms(sc, ch, cfg, PowerSplit.of(float(alpha)))
-                c_eve = capacity_report(powers).c_eve
+                beta = beta_terms(sc, ch, cfg, float(alpha))
+                c_eve = capacity_report(beta, sc.noise_bob_watts, sc.noise_eve_watts).c_eve
                 assert c_eve <= 0.1, f"c_eve={c_eve} at alpha1={alpha}"
 
 
@@ -142,7 +140,7 @@ def test_criterion_6_power_sweep_convergence(table, tmp_path):
     with criterion("6 power-sweep-convergence"):
         sc, _ = table
         scn = tmp_path / "default.scn"
-        save_scenario(sc, scn)
+        scn.write_text(format_scenario(sc), encoding="utf-8")
         targets = {0.01: (0.55, 7.0), 0.10: (0.92, 11.0)}
         for eta, (alpha_target, cb_target) in targets.items():
             out = tmp_path / f"sweep_{eta}.csv"
@@ -174,14 +172,14 @@ def test_criterion_7_capacity_sinr_consistency():
     with criterion("7 capacity-sinr-consistency"):
         rng = np.random.default_rng(77)
         for _ in range(1000):
-            powers = LinkPowers(
-                beta=rng.uniform(0.0, 2.0, 8),
-                noise_bob=float(rng.uniform(1e-14, 1e-9)),
-                noise_eve=float(rng.uniform(1e-14, 1e-9)),
+            powers = (
+                rng.uniform(0.0, 2.0, 8),
+                float(rng.uniform(1e-14, 1e-9)),
+                float(rng.uniform(1e-14, 1e-9)),
             )
-            sb, se = sinr_values(powers)
-            assert math.log2(1.0 + sb) == pytest.approx(capacity_report(powers).c_bob, rel=1e-12)
-            assert math.log2(1.0 + se) == pytest.approx(capacity_report(powers).c_eve, rel=1e-12)
+            sb, se = sinr_values(*powers)
+            assert math.log2(1.0 + sb) == pytest.approx(capacity_report(*powers).c_bob, rel=1e-12)
+            assert math.log2(1.0 + se) == pytest.approx(capacity_report(*powers).c_eve, rel=1e-12)
 
         # independent route: expand the SINRs from path-loss products and
         # squared cascaded gains instead of the beta terms
@@ -195,7 +193,6 @@ def test_criterion_7_capacity_sinr_consistency():
 
                 cfg = PhaseConfig(phases)
                 alpha = float(rng.uniform(0.05, 0.95))
-                split = PowerSplit.of(alpha)
 
                 def g2(src, part, user):
                     path = cascaded_path(ch.amplitudes(src), ch.phases(src), ch.amplitudes(user),
@@ -210,7 +207,7 @@ def test_criterion_7_capacity_sinr_consistency():
                     alpha * pt * (g2("s", "rb", "e") + g2("s", "re", "e"))
                 ) / ((1 - alpha) * pt * (g2("a", "re", "e") + g2("a", "rb", "e"))
                      + sc.noise_eve_watts)
-                sb, se = sinr_values(beta_terms(sc, ch, cfg, split))
+                sb, se = sinr_values(beta_terms(sc, ch, cfg, alpha), sc.noise_bob_watts, sc.noise_eve_watts)
                 assert sb == pytest.approx(sinr_b_expanded, rel=1e-9)
                 assert se == pytest.approx(sinr_e_expanded, rel=1e-9)
 
@@ -219,7 +216,7 @@ def test_criterion_8_determinism(table, tmp_path):
     with criterion("8 determinism"):
         sc, _ = table
         scn = tmp_path / "default.scn"
-        save_scenario(sc, scn)
+        scn.write_text(format_scenario(sc), encoding="utf-8")
         commands = {
             "optimize-phases": ["--seed", "4"],
             "sweep-alpha": ["--seed", "4", "--alpha-grid", "31", "--include-zero"],

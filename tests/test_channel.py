@@ -102,8 +102,7 @@ _point = st.tuples(_coord, _coord, _coord)
 _boresight = _point.filter(lambda v: math.hypot(*v) > 0.1)
 _pattern = st.one_of(
     st.just(ISOTROPIC),
-    st.builds(AntennaPattern, kind=st.just("cosine"), az_exponent=st.floats(0.0, 3.0),
-              el_exponent=st.floats(0.0, 3.0), boresight_gain_dbi=st.floats(-10.0, 20.0)),
+    st.builds(AntennaPattern, kind=st.just("cosine"), boresight_gain_dbi=st.floats(-10.0, 20.0)),
 )
 _COSINE = AntennaPattern(kind="cosine")
 _AXIS = (1.0, 0.0, 0.0)
@@ -157,11 +156,10 @@ class TestArrayHopMatchesScalar:
             [tiny, 0.0, -1.0],          # el is -pi/2
             [1.0, 0.0, 0.0],            # boresight, for contrast
         ])
-        for p in (_COSINE, AntennaPattern(kind="cosine", az_exponent=0.0, el_exponent=0.5)):
-            gains = pattern_gains(p, directions)
-            assert gains.tolist() == [pattern_gain(p, d) for d in directions]
-            assert gains[:-1].tolist() == [0.0] * 6
-            assert gains[-1] == p.boresight_linear
+        gains = pattern_gains(_COSINE, directions)
+        assert gains.tolist() == [pattern_gain(_COSINE, d) for d in directions]
+        assert gains[:-1].tolist() == [0.0] * 6
+        assert gains[-1] == _COSINE.boresight_linear
 
 
 def _mirror_index(n: int, rows: int, cols: int) -> int:
@@ -187,7 +185,7 @@ class TestBuildChannelSet:
         # the bundled scenario is exactly y-mirror symmetric: the CS/Bob side
         # channels map onto the AN/Eve side under column reflection
         ch = table_channels
-        m = _mirror_indices(table_scenario.ris.rows, table_scenario.ris.cols)
+        m = _mirror_indices(table_scenario.ris_rows, table_scenario.ris_cols)
         assert ch.amplitudes("s") == pytest.approx(ch.amplitudes("a")[m], rel=1e-12)
         assert ch.amplitudes("b") == pytest.approx(ch.amplitudes("e")[m], rel=1e-12)
         assert ch.phases("s") == pytest.approx(ch.phases("a")[m], rel=1e-9, abs=1e-9)
@@ -212,7 +210,7 @@ class TestBuildChannelSet:
         mirrored = replace(sc, cs_tx=flip(sc.an_tx), an_tx=flip(sc.cs_tx),
                            bob=flip(sc.eve), eve=flip(sc.bob))
         a, b = build_channel_set(sc), build_channel_set(mirrored)
-        m = _mirror_indices(sc.ris.rows, sc.ris.cols)
+        m = _mirror_indices(sc.ris_rows, sc.ris_cols)
         for name, twin in (("s", "a"), ("a", "s"), ("b", "e"), ("e", "b")):
             assert a.amplitudes(name) == pytest.approx(b.amplitudes(twin)[m], rel=1e-12)
 
@@ -233,14 +231,14 @@ class TestBuildChannelSet:
         assert b[0] == pytest.approx(e[1], rel=1e-12)
 
     def test_path_loss_values_in_unit_interval(self, table_channels):
-        for key, value in table_channels.path_loss.items():
-            assert 0.0 < value <= 1.0, key
+        for key, path in table_channels.paths.items():
+            assert 0.0 < path.path_loss <= 1.0, key
 
     def test_path_loss_is_squared_mean_amplitude_product(self, table_channels):
         ch = table_channels
         idx = list(ch.partition("rb"))
         prod = ch.amplitudes("s")[idx] * ch.amplitudes("b")[idx]
-        assert ch.path_loss[("s", "rb", "b")] == pytest.approx(float(np.mean(prod)) ** 2, rel=1e-12)
+        assert ch.paths[("s", "rb", "b")].path_loss == pytest.approx(float(np.mean(prod)) ** 2, rel=1e-12)
 
     def test_dump_rows_shape(self, table_channels):
         rows = list(channel_dump_rows(table_channels))

@@ -24,9 +24,8 @@ from risjam.channel import build_channel_set
 from risjam.harness import main, optimized_config, parse_pt_sweep
 from risjam.optimize import capacity_ratio_alpha, optimize_alpha
 from risjam.ris import save_phase_config, zero_config
-from risjam.scene import load_scenario, save_scenario, scenario_hash
+from risjam.scene import format_scenario, load_scenario, scenario_hash
 from risjam.secrecy import (
-    PowerSplit,
     SecrecyThresholds,
     beta_terms,
     capacity_report,
@@ -56,7 +55,7 @@ COMMANDS = {
 }
 
 # sha256 over the amplitude and phase bytes of hops s, a, b, e (in that
-# order), then repr(sorted(path_loss.items())).
+# order), then repr of the sorted (path key, path_loss) pairs of ch.paths.
 CHANNEL_DIGESTS = {
     16: "7db7fa38d5d6155d087337e9e15589dae543d45571dc551223ac5534a4ec6017",
     32: "df212330fc99184eae2466a460ff732d017d8357d763ff4282e2137505f2c3e8",
@@ -113,7 +112,7 @@ def channel_digest(ch) -> str:
     for name in ("s", "a", "b", "e"):
         h.update(ch.amplitudes(name).tobytes())
         h.update(ch.phases(name).tobytes())
-    h.update(repr(sorted(ch.path_loss.items())).encode("utf-8"))
+    h.update(repr(sorted((key, path.path_loss) for key, path in ch.paths.items())).encode("utf-8"))
     return h.hexdigest()
 
 
@@ -207,7 +206,7 @@ def test_sweep_alpha_rows_match_per_alpha_beta_terms(algorithm, monkeypatch, tmp
     expected = []
     for config, label in ((cfg, algorithm), (zero_config(ch.n_elements), "zero")):
         for a in np.linspace(0.0, 1.0, 101):
-            report = capacity_report(beta_terms(sc, ch, config, PowerSplit.of(float(a))))
+            report = capacity_report(beta_terms(sc, ch, config, float(a)), sc.noise_bob_watts, sc.noise_eve_watts)
             row = capacity_report_row(float(a), report)
             cb, ce = float(f"{row[1]:.9g}"), float(f"{row[2]:.9g}")
             expected.append((*row[:3], max(cb - ce, 0.0), *row[4:], label))
@@ -233,7 +232,7 @@ def panel64(tmp_path_factory):
     work = tmp_path_factory.mktemp("panel64")
     sc = scene(64)
     cfg, _ = optimized_config(sc, build_channel_set(sc), "dft", seed=1)
-    save_scenario(sc, work / "panel64.scn")
+    (work / "panel64.scn").write_text(format_scenario(sc), encoding="utf-8")
     save_phase_config(cfg, work / "opt.config.txt")
     return work
 

@@ -25,7 +25,7 @@ from risjam.harness import (
 )
 from risjam.channel import build_channel_set
 from risjam.ris import load_phase_config
-from risjam.scene import MAX_PT_DBM, load_scenario, save_scenario
+from risjam.scene import MAX_PT_DBM, format_scenario, load_scenario
 from dataclasses import replace
 
 from conftest import DEFAULT_SCENARIO
@@ -42,7 +42,7 @@ def scenario_file():
 def tiny_scenario_file(tmp_path_factory):
     sc = replace(load_scenario(DEFAULT_SCENARIO), ris_rows=2, ris_cols=2)
     path = tmp_path_factory.mktemp("scn") / "tiny.scn"
-    save_scenario(sc, path)
+    path.write_text(format_scenario(sc), encoding="utf-8")
     return str(path)
 
 
@@ -469,6 +469,31 @@ class TestCliErrors:
         assert rc == EXIT_INPUT_ERROR
         assert "cs_tx is within one wavelength" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_odd_ris_cols_is_input_error(self, tmp_path, capsys):
+        # 2x3 has an even element count, but the panel splits into column halves
+        text = DEFAULT_SCENARIO.read_text()
+        scn = tmp_path / "odd-cols.scn"
+        scn.write_text(text.replace("\nris_rows = 16\nris_cols = 16\n", "\nris_rows = 2\nris_cols = 3\n"))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        rc = main(["dump-channels", "--scenario", str(scn), "--out", str(out_dir / "chan.csv")])
+        assert rc == EXIT_INPUT_ERROR
+        assert "ris_cols = 3 must be even" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_dft_on_a_partition_size_not_a_power_of_two_is_input_error(self, tmp_path, capsys):
+        text = DEFAULT_SCENARIO.read_text()
+        scn = tmp_path / "16x12.scn"
+        scn.write_text(text.replace("\nris_cols = 16\n", "\nris_cols = 12\n"))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        rc = main(["optimize-phases", "--scenario", str(scn), "--out", str(out_dir / "run"),
+                   "--algorithm", "dft"])
+        assert rc == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "power of 2, got 96" in err and "one bit per partition element" in err
+        assert list(out_dir.iterdir()) == []
 
     def test_infinite_carrier_is_input_error(self, tmp_path, capsys):
         # lambda = c / inf = 0 would pass the one-wavelength rule

@@ -19,7 +19,7 @@ from risjam.optimize import (
     _padding,
 )
 from risjam.ris import PhaseConfig, binary_dft_codebook, set_partition, zero_config
-from risjam.secrecy import PowerSplit, SecrecyThresholds, beta_terms, path_gains, sinr_values
+from risjam.secrecy import SecrecyThresholds, beta_terms, path_gains, sinr_values
 from risjam.harness import optimized_config
 
 from conftest import make_random_scenario
@@ -311,8 +311,8 @@ class TestReceivedPowerOracle:
         for _ in range(5):
             phases = rng.choice([0.0, PI], 256)
             cfg = PhaseConfig(phases)
-            b_cs = beta_terms(sc, ch, cfg, PowerSplit(1.0, 0.0)).beta
-            b_an = beta_terms(sc, ch, cfg, PowerSplit(0.0, 1.0)).beta
+            b_cs = beta_terms(sc, ch, cfg, 1.0)
+            b_an = beta_terms(sc, ch, cfg, 0.0)
             assert oracle_cs(phases) == pytest.approx(b_cs[0] ** 2 + b_cs[1] ** 2, rel=1e-12)
             assert oracle_an(phases) == pytest.approx(b_an[4] ** 2 + b_an[5] ** 2, rel=1e-12)
 
@@ -619,8 +619,8 @@ class TestOptimizeAlpha:
         th = SecrecyThresholds.from_eta(10 ** 0.22, 0.01)
         sol = optimize_alpha(table_scenario, table_channels, cfg, th, grid=1001)
         assert sol.feasible
-        powers = beta_terms(table_scenario, table_channels, cfg, PowerSplit.of(sol.alpha1))
-        sb, se = sinr_values(powers)
+        sc = table_scenario
+        sb, se = sinr_values(beta_terms(sc, table_channels, cfg, sol.alpha1), sc.noise_bob_watts, sc.noise_eve_watts)
         assert sb >= th.gamma_bob_min - 1e-9
         assert se <= th.gamma_eve_max + 1e-9
 

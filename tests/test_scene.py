@@ -13,7 +13,6 @@ from risjam.scene import (
     AntennaPattern,
     DegenerateGeometryError,
     Position3D,
-    RisGeometry,
     ScenarioConfig,
     ScenarioFormatError,
     dbm_to_watts,
@@ -35,14 +34,14 @@ FILE_KEYS = [f.name for f in fields(ScenarioConfig) if f.init]
 
 @st.composite
 def scenarios(draw):
-    """Valid scenarios: any panel shape with an even element count, nodes in front.
+    """Valid scenarios: any panel shape with an even column count, nodes in front.
 
     Carriers from 1 GHz keep lambda under 0.3 m, and every node sits at least
     0.31 m in front of the panel plane, so no node is in an element's near field.
     """
     coord = st.floats(-10.0, 10.0)
     rows = draw(st.integers(1, 6))
-    cols = draw(st.integers(1, 6).filter(lambda c: rows * c % 2 == 0))
+    cols = draw(st.integers(1, 6).filter(lambda c: c % 2 == 0))
     center = Position3D(draw(coord), draw(coord), draw(coord))
 
     def node():
@@ -69,8 +68,7 @@ def scenarios(draw):
 
 class TestElementPositions:
     def test_two_element_row_symmetric_about_center(self):
-        g = RisGeometry(rows=1, cols=2, spacing=0.041, center=Position3D(0, 0, 0))
-        pos = element_positions(g)
+        pos = element_positions(1, 2, 0.041, Position3D(0, 0, 0))
         assert pos.shape == (2, 3)
         assert pos[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert pos[0, 1] == pytest.approx(-0.0205, abs=1e-15)
@@ -79,39 +77,31 @@ class TestElementPositions:
 
     def test_aperture_extent_16x16(self):
         # independent oracle: 15 gaps of 0.041 m per side
-        g = RisGeometry(rows=16, cols=16, spacing=0.041, center=Position3D(0, 0, 0.4))
-        pos = element_positions(g)
+        pos = element_positions(16, 16, 0.041, Position3D(0, 0, 0.4))
         ys, zs = pos[:, 1], pos[:, 2]
         assert max(ys) - min(ys) == pytest.approx(15 * 0.041, rel=1e-12)
         assert max(zs) - min(zs) == pytest.approx(15 * 0.041, rel=1e-12)
 
     def test_256_distinct_positions(self):
-        g = RisGeometry(rows=16, cols=16, spacing=0.041, center=Position3D(0, 0, 0.4))
-        pos = element_positions(g)
+        pos = element_positions(16, 16, 0.041, Position3D(0, 0, 0.4))
         assert pos.shape == (256, 3)
         assert len({tuple(p) for p in pos.tolist()}) == 256
 
     def test_centroid_equals_center(self):
-        g = RisGeometry(rows=6, cols=4, spacing=0.03, center=Position3D(0.1, -0.2, 0.7))
-        np.testing.assert_allclose(element_positions(g).mean(axis=0), [0.1, -0.2, 0.7], atol=1e-12)
+        pos = element_positions(6, 4, 0.03, Position3D(0.1, -0.2, 0.7))
+        np.testing.assert_allclose(pos.mean(axis=0), [0.1, -0.2, 0.7], atol=1e-12)
 
     def test_row_major_order(self):
-        g = RisGeometry(rows=2, cols=2, spacing=1.0, center=Position3D(0, 0, 0))
-        pos = element_positions(g)
+        pos = element_positions(2, 2, 1.0, Position3D(0, 0, 0))
         # first row (higher z) first, columns left (-y) to right (+y)
         assert pos[0, 2] > pos[2, 2]
         assert pos[0, 1] < pos[1, 1]
 
-    def test_odd_element_count_rejected(self):
-        with pytest.raises(ValueError):
-            RisGeometry(rows=1, cols=3, spacing=0.04, center=Position3D(0, 0, 0))
-
     def test_partition_split_sides(self):
-        g = RisGeometry(rows=16, cols=16, spacing=0.041, center=Position3D(0, 0, 0.4))
-        bob, eve = partition_split(g)
+        bob, eve = partition_split(16, 16)
         assert len(bob) == len(eve) == 128
         assert not set(bob) & set(eve)
-        pos = element_positions(g)
+        pos = element_positions(16, 16, 0.041, Position3D(0, 0, 0.4))
         assert np.all(pos[list(bob), 1] > 0)
         assert np.all(pos[list(eve), 1] < 0)
 
@@ -151,6 +141,27 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioFormatError, match="finite"):
             parse_scenario(text)
 
+    def test_odd_column_count_rejected(self, table_scenario):
+        # the panel splits into two column halves, whatever the element count
+        for rows, cols in ((1, 3), (2, 3), (16, 15)):
+            text = format_scenario(table_scenario).replace("ris_rows = 16", f"ris_rows = {rows}")
+            text = text.replace("ris_cols = 16", f"ris_cols = {cols}")
+            with pytest.raises(ScenarioFormatError, match=f"ris_cols = {cols} must be even"):
+                parse_scenario(text)
+
+    def test_odd_row_count_accepted(self, table_scenario):
+        from dataclasses import replace
+
+        assert replace(table_scenario, ris_rows=15).elements.shape == (15 * 16, 3)
+
+    @pytest.mark.parametrize("key, value", [("ris_rows", 0), ("ris_cols", -2), ("ris_spacing_m", 0.0),
+                                            ("ris_spacing_m", math.nan)])
+    def test_lattice_keys_named(self, table_scenario, key, value):
+        from dataclasses import replace
+
+        with pytest.raises(ValueError, match=f"^{key} must be positive"):
+            replace(table_scenario, **{key: value})
+
     def test_infinite_tx_gain_rejected(self, table_scenario):
         text = format_scenario(table_scenario).replace("tx_gain_dbi = 13.0", "tx_gain_dbi = inf")
         with pytest.raises(ScenarioFormatError, match="tx_gain_dbi must be finite"):
@@ -175,8 +186,10 @@ class TestScenarioValidation:
             replace(table_scenario, **{key: cap + 0.5})
 
     def test_elements_are_the_read_only_lattice(self, table_scenario):
-        elems = table_scenario.elements
-        np.testing.assert_array_equal(elems, element_positions(table_scenario.ris))
+        sc = table_scenario
+        elems = sc.elements
+        np.testing.assert_array_equal(
+            elems, element_positions(sc.ris_rows, sc.ris_cols, sc.ris_spacing_m, sc.ris_center))
         assert not elems.flags.writeable
 
 
@@ -235,9 +248,7 @@ class TestPatternGain:
         assert all(g1 > g2 for g1, g2 in zip(gains, gains[1:]))
         assert gains[-1] < 1e-9
 
-    def test_exponent_validation(self):
-        with pytest.raises(ValueError):
-            AntennaPattern(kind="cosine", az_exponent=-1.0)
+    def test_kind_validation(self):
         with pytest.raises(ValueError):
             AntennaPattern(kind="hornlike")
 
